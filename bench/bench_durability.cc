@@ -7,7 +7,7 @@
 //
 // Work-product counters (wal_records, wal_bytes, checkpoints, replayed,
 // view_atoms) are deterministic functions of the workload — identical
-// across join modes, plan modes and thread counts — so the sidecar diff in
+// across join modes and thread counts — so the sidecar diff in
 // CI compares them like the other bench binaries' derived-atom counts.
 
 #include "bench_util.h"
@@ -104,8 +104,6 @@ void RunWalOverhead(benchmark::State& state, bool logged) {
       static_cast<double>(stats.snapshot_nodes_copied);
   state.counters["checkpoint_delta_bytes"] =
       static_cast<double>(stats.checkpoint_delta_bytes);
-  state.counters["mutex_evaluator_engaged"] =
-      static_cast<double>(stats.mutex_evaluator_engaged);
 }
 
 // {logged, depth, K}. The logged flag is the FIRST arg on purpose: the

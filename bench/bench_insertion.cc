@@ -36,7 +36,7 @@ void BM_Insert_Incremental(benchmark::State& state) {
   Program p = workload::MakeChain(static_cast<int>(state.range(0)),
                                   static_cast<int>(state.range(1)));
   FixpointOptions opts = DefaultOptions();
-  plan::PlanCache plans(opts.plan_mode);
+  plan::PlanCache plans;
   opts.plan_cache = &plans;
   View base = MustMaterialize(p, w.domains.get(), opts);
   // Insert a value outside the existing range.
@@ -92,7 +92,7 @@ void BM_Insert_Bulk(benchmark::State& state) {
   World w = World::Make();
   Program p = workload::MakeChain(8, 8);
   FixpointOptions opts = DefaultOptions();
-  plan::PlanCache plans(opts.plan_mode);
+  plan::PlanCache plans;
   opts.plan_cache = &plans;
   View base = MustMaterialize(p, w.domains.get(), opts);
   int k = static_cast<int>(state.range(0));
@@ -140,7 +140,7 @@ void BM_Continuation_Chain(benchmark::State& state) {
                                   static_cast<int>(state.range(1)));
   FixpointOptions opts = DefaultOptions();
   opts.join_mode = ModeArg(state.range(3));
-  plan::PlanCache plans(opts.plan_mode);
+  plan::PlanCache plans;
   opts.plan_cache = &plans;
   View base = MustMaterialize(p, w.domains.get(), opts);
   int k = static_cast<int>(state.range(2));
@@ -177,7 +177,7 @@ void BM_Continuation_IntervalChain(benchmark::State& state) {
   Program p = workload::MakeChain(depth, width);
   FixpointOptions opts = DefaultOptions();
   opts.join_mode = ModeArg(state.range(3));
-  plan::PlanCache plans(opts.plan_mode);
+  plan::PlanCache plans;
   opts.plan_cache = &plans;
   View base = MustMaterialize(p, w.domains.get(), opts);
   int k = static_cast<int>(state.range(2));
@@ -235,7 +235,7 @@ void BM_Continuation_TransitiveClosure(benchmark::State& state) {
   Program p = workload::MakeTransitiveClosure(workload::ChainEdges(n));
   FixpointOptions opts = DefaultOptions();
   opts.join_mode = ModeArg(state.range(1));
-  plan::PlanCache plans(opts.plan_mode);
+  plan::PlanCache plans;
   opts.plan_cache = &plans;
   View base = MustMaterialize(p, w.domains.get(), opts);
 
@@ -276,7 +276,7 @@ void BM_Continuation_GuardedChain(benchmark::State& state) {
                                          static_cast<int>(state.range(1)));
   FixpointOptions opts = DefaultOptions();
   opts.join_mode = ModeArg(state.range(3));
-  plan::PlanCache plans(opts.plan_mode);
+  plan::PlanCache plans;
   opts.plan_cache = &plans;
   View base = MustMaterialize(p, w.domains.get(), opts);
   int k = static_cast<int>(state.range(2));
@@ -303,20 +303,17 @@ void BM_Continuation_GuardedChain(benchmark::State& state) {
 
 // The guarded chain with the guard written FIRST — p{k+1}(X) <- p0(X),
 // p{k}(X): the most selective body atom (the seminaive delta) is textually
-// last. Plan-off (declared order, trailing arg 0) scans the whole base
-// relation before the delta ever binds X; plan-on (selectivity-ordered,
-// trailing arg 1) runs the delta atom first and probes p0's bucket per
-// binding, exactly like the forward-written chain. Join mode is kIndexed
-// for both — this case scores the PLAN layer, and its atom counters must
-// match across the pair (CI diffs them). {depth, width, K, plan mode}.
+// last. The selectivity-ordered plan runs the delta atom first and probes
+// p0's bucket per binding, exactly like the forward-written chain, instead
+// of scanning the whole base relation before the delta ever binds X. Join
+// mode is kIndexed — this case scores the PLAN layer. {depth, width, K}.
 void BM_Continuation_GuardedChainReversed(benchmark::State& state) {
   World w = World::Make();
   Program p = workload::MakeGuardedChainReversed(
       static_cast<int>(state.range(0)), static_cast<int>(state.range(1)));
   FixpointOptions opts = DefaultOptions();
   opts.join_mode = JoinMode::kIndexed;
-  opts.plan_mode = PlanModeArg(state.range(3));
-  plan::PlanCache plans(opts.plan_mode);
+  plan::PlanCache plans;
   opts.plan_cache = &plans;
   View base = MustMaterialize(p, w.domains.get(), opts);
   int k = static_cast<int>(state.range(2));
@@ -363,7 +360,7 @@ void BM_Continuation_GuardedMultiChain(benchmark::State& state) {
   FixpointOptions opts = DefaultOptions();
   opts.join_mode = JoinMode::kIndexed;
   opts.num_threads = ThreadsArg(state.range(3));
-  plan::PlanCache plans(opts.plan_mode);
+  plan::PlanCache plans;
   opts.plan_cache = &plans;
   View base = MustMaterialize(p, w.domains.get(), opts);
 
@@ -453,7 +450,7 @@ void BM_Continuation_TransitiveClosureThreads(benchmark::State& state) {
   FixpointOptions opts = DefaultOptions();
   opts.join_mode = JoinMode::kIndexed;
   opts.num_threads = ThreadsArg(state.range(2));
-  plan::PlanCache plans(opts.plan_mode);
+  plan::PlanCache plans;
   opts.plan_cache = &plans;
   View base = MustMaterialize(p, w.domains.get(), opts);
 
@@ -525,7 +522,7 @@ void BM_Continuation_RecordChain(benchmark::State& state) {
   }
   FixpointOptions opts = DefaultOptions();
   opts.join_mode = ModeArg(state.range(3));
-  plan::PlanCache plans(opts.plan_mode);
+  plan::PlanCache plans;
   opts.plan_cache = &plans;
   View base = MustMaterialize(p, w.domains.get(), opts);
   int k = static_cast<int>(state.range(2));
@@ -588,7 +585,7 @@ void BM_Continuation_ReciprocalStar(benchmark::State& state) {
   }
   FixpointOptions opts = DefaultOptions();
   opts.join_mode = ModeArg(state.range(1));
-  plan::PlanCache plans(opts.plan_mode);
+  plan::PlanCache plans;
   opts.plan_cache = &plans;
   View base = MustMaterialize(p, w.domains.get(), opts);
 
@@ -655,12 +652,9 @@ BENCHMARK(BM_Continuation_GuardedChain)
     ->Args({16, 32, 32, 1})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Continuation_GuardedChainReversed)
-    ->Args({8, 8, 8, 0})
-    ->Args({8, 8, 8, 1})
-    ->Args({12, 256, 8, 0})
-    ->Args({12, 256, 8, 1})
-    ->Args({16, 1024, 8, 0})
-    ->Args({16, 1024, 8, 1})
+    ->Args({8, 8, 8})
+    ->Args({12, 256, 8})
+    ->Args({16, 1024, 8})
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Continuation_GuardedMultiChain)

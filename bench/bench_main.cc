@@ -85,11 +85,6 @@ int main(int argc, char** argv) {
     std::cerr << mode.status().ToString() << "\n";
     return 1;
   }
-  if (mmv::Result<mmv::plan::PlanMode> mode = mmv::PlanModeFromEnv();
-      !mode.ok()) {
-    std::cerr << mode.status().ToString() << "\n";
-    return 1;
-  }
   if (mmv::Result<int> threads = mmv::ThreadsFromEnv(); !threads.ok()) {
     std::cerr << threads.status().ToString() << "\n";
     return 1;

@@ -56,18 +56,6 @@ inline JoinMode EnvJoinMode() {
   return *mode;
 }
 
-/// \brief Plan mode selected by $MMV_PLAN_MODE ("declared" = written body
-/// order / plan-off baseline, "ordered" or unset = selectivity-ordered
-/// plans). Unknown values abort, as for EnvJoinMode.
-inline plan::PlanMode EnvPlanMode() {
-  Result<plan::PlanMode> mode = PlanModeFromEnv();
-  if (!mode.ok()) {
-    std::fprintf(stderr, "%s\n", mode.status().ToString().c_str());
-    std::abort();
-  }
-  return *mode;
-}
-
 /// \brief Thread count selected by $MMV_THREADS (unset = 1, the sequential
 /// engine). Lets CI run a whole bench binary single- and multi-threaded
 /// and diff the derived-atom counters. Unknown values abort, as for
@@ -95,12 +83,11 @@ inline bool EnvSolverFastpath() {
 }
 
 /// \brief Baseline options for benchmarks: default fixpoint knobs with the
-/// join / plan modes, thread count and solver fast path taken from the
+/// join mode, thread count and solver fast path taken from the
 /// environment.
 inline FixpointOptions DefaultOptions() {
   FixpointOptions o;
   o.join_mode = EnvJoinMode();
-  o.plan_mode = EnvPlanMode();
   o.num_threads = EnvThreads();
   o.solver.fastpath = EnvSolverFastpath();
   return o;
@@ -120,12 +107,6 @@ inline int ThreadsArg(int64_t arg) {
 /// for cases that pin the mode per-case instead of per-process.
 inline JoinMode ModeArg(int64_t arg) {
   return arg == 0 ? JoinMode::kNaive : JoinMode::kIndexed;
-}
-
-/// \brief Plan mode from a benchmark range arg (0 = declared / plan-off,
-/// 1 = ordered), for mode-paired plan cases.
-inline plan::PlanMode PlanModeArg(int64_t arg) {
-  return arg == 0 ? plan::PlanMode::kDeclared : plan::PlanMode::kOrdered;
 }
 
 /// \brief Materializes or aborts (benchmark setup only).

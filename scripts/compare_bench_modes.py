@@ -7,19 +7,17 @@ Usage: compare_bench_modes.py [--require-zero COUNTER ...]
 
 Each input is the JSONL sidecar a bench binary writes (one object per case:
 name, real_ms, counters). The indexed join pipeline must derive EXACTLY the
-atom counts the naive oracle derives, the selectivity-ordered plan executor
-exactly what the declared-order (plan-off) executor derives, and the
-parallel-strata engine (MMV_THREADS=8 sidecar vs MMV_THREADS=1 sidecar)
-exactly what the sequential engine derives — so for every case present in
+atom counts the naive oracle derives, and the parallel engine
+(MMV_THREADS=8 sidecar vs MMV_THREADS=1 sidecar) exactly what the
+one-thread engine derives — so for every case present in
 both files the work-product counters must match bit-for-bit. The first
 file is the reference; every other file is diffed against it. Timing
 fields are ignored. Exits non-zero on any mismatch, and when nothing
 comparable was found (a silently empty comparison would defeat the check).
 
 --require-zero COUNTER (repeatable) additionally asserts the named counter
-is zero in EVERY case of EVERY sidecar that reports it — the CI gate for
-invariants like mutex_evaluator_engaged, which must never fire now that
-the standard domains evaluate thread-safely. A required-zero counter that
+is zero in EVERY case of EVERY sidecar that reports it — a gate for
+"this must never fire" invariants. A required-zero counter that
 no sidecar reports fails too: a filter change silently dropping the
 guarded cases would otherwise defeat the gate.
 
@@ -38,8 +36,8 @@ import sys
 # Strategy-dependent counters (probes, rejects, derivation attempts, plan
 # reorders/intersections/cache and memo hits, thread counts) are
 # deliberately excluded: the indexed join legitimately attempts fewer
-# derivations than the oracle, the ordered plans probe differently than the
-# declared ones, and the parallel engine memoizes solver outcomes per task.
+# derivations than the oracle, and the parallel engine memoizes solver
+# outcomes per task.
 # The deletion-side counters (replacements, step3) are work product too:
 # StDel's parallel step-3 must replace exactly what the sequential sweep
 # replaces. The fan-out shape counters (partitions_run,
@@ -66,12 +64,12 @@ COMPARED = (
     "delete_passes",
     "insert_passes",
     # Snapshot publication is one epoch per clean batch regardless of the
-    # join mode, plan mode or thread count; the reader-side counters
+    # join mode or thread count; the reader-side counters
     # (snapshot_reads, reader_qps) are timing-dependent and stay excluded.
     "epochs_published",
     # Durability is a function of the burst text, not the engine: the WAL
     # record framing, the replayed-burst count and the checkpoint lineage
-    # must be byte-for-byte identical whatever join/plan/thread mode
+    # must be byte-for-byte identical whatever join/thread mode
     # applied the bursts. wal_syncs is policy-driven (one per committed
     # batch under kEveryBatch), so it is an invariant too.
     "wal_records",
@@ -83,7 +81,7 @@ COMPARED = (
     # Copy-on-write publication is a function of the burst's dirty set,
     # not the engine: which per-pred segments an extraction shares vs
     # copies — and how many delta-frame bytes the checkpoint cadence
-    # writes — must match across join/plan/thread modes. (The benches that
+    # writes — must match across join/thread modes. (The benches that
     # pit CoW against the deep-copy baseline put that mode flag FIRST, so
     # these never land in a /0-vs-/1 twin pair.)
     "snapshot_nodes_shared",
@@ -155,8 +153,8 @@ def main():
             )
     # Mode-paired cases pin their mode via a trailing arg and ignore the
     # environment, so the cross-file diff above compares them against
-    # themselves; compare .../0 (naive join, or declared plan for the
-    # plan-paired cases) against .../1 WITHIN each file instead.
+    # themselves; compare .../0 (naive join, or one thread for the
+    # thread-paired cases) against .../1 WITHIN each file instead.
     for path, cases in [(reference_path, reference)] + others:
         for name in sorted(cases):
             if not name.endswith("/0"):

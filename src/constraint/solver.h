@@ -14,9 +14,7 @@
 #ifndef MMV_CONSTRAINT_SOLVER_H_
 #define MMV_CONSTRAINT_SOLVER_H_
 
-#include <cassert>
 #include <limits>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <unordered_map>
@@ -133,53 +131,14 @@ class DcaEvaluator {
   /// external serialization, provided no writer mutates the backing state
   /// for the duration (the same single-writer contract StateEpoch already
   /// polices: parallel passes capture the epoch up front and fail loudly
-  /// on a mismatch). Defaults to false — unknown evaluators keep the
-  /// serialized MutexDcaEvaluator path; DomainManager reports true when
+  /// on a mismatch). Parallel fixpoint rounds and StDel lift sweeps fan
+  /// out only over an evaluator reporting true; defaults to false, which
+  /// runs those passes on one thread. DomainManager reports true when
   /// every registered domain is a pure reader and its call cache is off.
   virtual bool ConcurrentReadSafe() const { return false; }
 
  private:
   uint64_t instance_id_;
-};
-
-/// \brief Serializes Evaluate() calls on a wrapped evaluator through a
-/// mutex, so per-thread Solvers of a parallel pass can share one stateful
-/// evaluator (domain managers memoize lookups internally and are not
-/// thread-safe). Outcomes are unchanged: the underlying evaluator's answers
-/// may not depend on call order within one state epoch — the same contract
-/// solver memos already rely on.
-///
-/// This is the FALLBACK path for evaluators that do not report
-/// ConcurrentReadSafe(): parallel passes over a read-safe evaluator (the
-/// common DomainManager configuration) bypass the wrapper entirely. Once
-/// every evaluator in the tree answers the ConcurrentReadSafe() contract
-/// honestly this class can be retired.
-class MutexDcaEvaluator : public DcaEvaluator {
- public:
-  explicit MutexDcaEvaluator(DcaEvaluator* inner) : inner_(inner) {
-    // Wrapping a read-safe evaluator is never wrong, but it serializes a
-    // fan-out that could run lock-free — every engine checks
-    // ConcurrentReadSafe() before falling back here, so reaching this
-    // line with a read-safe inner is a missed check on the retirement
-    // path (tracked by the mutex_evaluator_engaged counters).
-    assert(inner == nullptr || !inner->ConcurrentReadSafe());
-  }
-
-  Result<DcaResult> Evaluate(const std::string& domain,
-                             const std::string& function,
-                             const std::vector<Value>& args) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return inner_->Evaluate(domain, function, args);
-  }
-
-  int64_t StateEpoch() const override { return inner_->StateEpoch(); }
-
-  /// The whole point of the wrapper: safe to share across threads.
-  bool ConcurrentReadSafe() const override { return true; }
-
- private:
-  DcaEvaluator* inner_;
-  std::mutex mu_;
 };
 
 /// \brief Outcome of a satisfiability check.

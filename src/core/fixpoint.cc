@@ -29,9 +29,9 @@ namespace {
 constexpr VarId kVarIdCeiling =
     std::numeric_limits<VarId>::max() - (VarId{1} << 20);
 
-// Where a clause pass's derived atoms go. The sequential engine adds them
-// to the view immediately (dedup included); parallel passes stage them
-// per clause for the round's ordered merge.
+// Where a clause pass's derived atoms go. Inline passes add them to the
+// view immediately (dedup included); fanned-out passes stage them per
+// slice for the round's ordered merge.
 class DeriveSink {
  public:
   virtual ~DeriveSink() = default;
@@ -42,12 +42,21 @@ class DeriveSink {
   virtual bool Full() const = 0;
 };
 
+// The frozen seminaive windows of one planned clause pass (PreparePass
+// output): per body position, the posting list and the list positions of
+// delta_begin / delta_end.
+struct PassWindows {
+  size_t delta_begin = 0, delta_end = 0;
+  std::vector<const std::vector<size_t>*> lists;
+  std::vector<std::pair<size_t, size_t>> cut;
+};
+
 // One clause pass over a fixed view prefix: the join executors (naive
-// nested-loop oracle and the compiled-plan pipeline) plus the shared
+// nested-loop oracle and the compiled-plan slice executor) plus the shared
 // derivation tail (constraint assembly, simplify, solve). Everything the
 // pass writes goes through its DeriveSink / FixpointStats bindings, so one
-// ClauseRunner serves the sequential engine (bound to the live view and
-// engine stats) and each parallel worker (bound to per-clause staging).
+// ClauseRunner serves the engine's inline passes (bound to the live view
+// and engine stats) and each fanned-out slice (bound to its staging).
 //
 // Reads only view indexes and atoms below the round's delta_end; within a
 // round those are frozen (appends land at indices >= delta_end), which is
@@ -58,21 +67,17 @@ class ClauseRunner {
                Solver* solver, VarFactory* factory)
       : view_(view), options_(options), solver_(solver), factory_(factory) {}
 
-  /// \brief Points the runner's output at \p stats / \p sink (per pass
-  /// for parallel workers; once for the sequential engine).
+  /// \brief Points the runner's output at \p stats / \p sink (per slice
+  /// for fanned-out workers; once for the engine's own runner).
   void Bind(FixpointStats* stats, DeriveSink* sink) {
     stats_ = stats;
     sink_ = sink;
   }
 
   /// \brief Per-declared-body-position candidate / accepted counters of
-  /// the last RunPlanned pass (PlanCache::Feedback input), and whether
-  /// that pass got far enough that the sequential engine would report
-  /// them (it early-outs before feedback when a body predicate has no
-  /// candidate atoms at all).
+  /// the last RunSlice (PlanCache::Feedback input).
   const std::vector<int64_t>& candidates() const { return cand_; }
   const std::vector<int64_t>& accepted() const { return acc_; }
-  bool feedback_due() const { return feedback_due_; }
 
   // ---- kNaive: the legacy nested-loop join (differential oracle) --------
 
@@ -98,7 +103,15 @@ class ClauseRunner {
     return Status::OK();
   }
 
-  // ---- kIndexed: constraint-aware plan executor -------------------------
+  // ---- kIndexed: the planned slice executor -----------------------------
+  //
+  // A planned round runs as (clause, pivot[, shard]) slices: each nonempty
+  // seminaive pivot of a runnable clause is its own pass — sound without
+  // barriers because every pivot's windows read only the frozen prefix
+  // below delta_end — and a pivot whose delta window is large enough may
+  // be split further into contiguous shards of its depth-0 candidate
+  // sequence (plan/partition.h). Every plan order starts at its pivot, so
+  // depth 0 is always the pivot's own delta window.
 
   /// \brief Resolves the pass's posting lists and hoisted seminaive
   /// windows: the posting-list positions of delta_begin and delta_end per
@@ -108,169 +121,57 @@ class ClauseRunner {
   /// pass cannot derive — a body predicate with no atoms at all, or one
   /// with no atoms below delta_end (every window empty; atoms past
   /// delta_end exist when an EARLIER clause of this round already
-  /// appended, and cutting on the windowed count keeps pass-level
-  /// counters identical between the sequential engine and parallel
-  /// workers reading the frozen prefix). Pure read: writes no stats, so
-  /// the parallel round can screen clauses before its go/no-go decision.
+  /// appended, and cutting on the windowed count keeps the verdict a pure
+  /// function of the frozen prefix). Pure read: writes no stats, so the
+  /// round can screen every clause before deciding where slices run.
   bool PreparePass(const Clause& c, size_t delta_begin, size_t delta_end,
-                   std::vector<const std::vector<size_t>*>* lists,
-                   std::vector<std::pair<size_t, size_t>>* cut) const {
+                   PassWindows* w) const {
     size_t n = c.body.size();
-    lists->assign(n, nullptr);
-    cut->assign(n, {0, 0});
+    w->delta_begin = delta_begin;
+    w->delta_end = delta_end;
+    w->lists.assign(n, nullptr);
+    w->cut.assign(n, {0, 0});
     for (size_t i = 0; i < n; ++i) {
       const std::vector<size_t>& list = view_.AtomsFor(c.body[i].pred);
       if (list.empty()) return false;  // no candidates at all
-      (*lists)[i] = &list;
-      (*cut)[i] = {LowerBoundPos(list, delta_begin),
+      w->lists[i] = &list;
+      w->cut[i] = {LowerBoundPos(list, delta_begin),
                    LowerBoundPos(list, delta_end)};
-      if ((*cut)[i].second == 0) return false;
+      if (w->cut[i].second == 0) return false;
     }
     return true;
   }
 
-  Status RunPlanned(const Clause& c, const plan::ClausePlan& plan,
-                    size_t delta_begin, size_t delta_end, int round) {
-    size_t n = c.body.size();
-    feedback_due_ = false;
-    std::vector<const std::vector<size_t>*> lists;
-    std::vector<std::pair<size_t, size_t>> cut;
-    if (!PreparePass(c, delta_begin, delta_end, &lists, &cut)) {
-      return Status::OK();
-    }
-    BeginPass(plan, n);
-    std::vector<size_t> chosen(n);
-    Status status = Status::OK();
-    for (size_t pivot = 0; pivot < n; ++pivot) {
-      if (cut[pivot].first == cut[pivot].second) continue;  // empty delta
-      status = RecursePlanned(c, plan, plan.order(pivot), lists, cut, pivot,
-                              0, delta_begin, delta_end, round, &chosen);
-      if (!status.ok()) break;
+  /// \brief Runs one slice of a prepared pass: the whole (clause, pivot)
+  /// pass, or — given \p pool — the shard pool[begin, end) of the pivot's
+  /// materialized depth-0 candidates. A shard does not count depth-0
+  /// probes; MaterializePivotCandidates already did, once per pivot.
+  Status RunSlice(const Clause& c, const plan::ClausePlan& plan,
+                  const PassWindows& windows, size_t pivot, int round,
+                  const std::vector<size_t>* pool = nullptr, size_t begin = 0,
+                  size_t end = 0) {
+    BeginPass(c, plan, windows, pivot, round);
+    if (pool == nullptr) return RecursePlanned(0);
+    for (size_t i = begin; i < end; ++i) {
+      MMV_RETURN_NOT_OK(TryCandidate(0, (*pool)[i]));
       if (sink_->Full()) break;
     }
-    return status;
-  }
-
-  // ---- parallel slice entry points --------------------------------------
-  //
-  // A parallel round decomposes RunPlanned's pivot loop: each nonempty
-  // (clause, pivot) runs as its own pass — sound for the same reason the
-  // pivot loop needs no barriers: every pivot's windows read only the
-  // frozen prefix below delta_end. A pivot whose delta window is large
-  // enough is split further into contiguous shards of its depth-0
-  // candidate sequence (plan/partition.h).
-
-  /// \brief One whole (clause, pivot) pass: RunPlanned minus the pivot
-  /// loop. Counts its own depth-0 probes, exactly once, like sequential.
-  Status RunPivotPass(const Clause& c, const plan::ClausePlan& plan,
-                      const std::vector<const std::vector<size_t>*>& lists,
-                      const std::vector<std::pair<size_t, size_t>>& cut,
-                      size_t pivot, size_t delta_begin, size_t delta_end,
-                      int round) {
-    BeginPass(plan, c.body.size());
-    std::vector<size_t> chosen(c.body.size());
-    return RecursePlanned(c, plan, plan.order(pivot), lists, cut, pivot, 0,
-                          delta_begin, delta_end, round, &chosen);
-  }
-
-  /// \brief Replays a sharded pivot's depth-0 probe selection, appending
-  /// the pivot window's candidate atom indices to \p out in exactly the
-  /// order a whole-pivot pass would enumerate them (ascending atom
-  /// index). Runs ONCE per (clause, pivot) on the engine thread — it
-  /// counts index_probes / probe_intersections into the bound stats, and
-  /// shards then enumerate contiguous subranges without re-probing, so
-  /// the probe counters stay identical to num_threads=1 whatever the
-  /// shard count. Precondition: the pivot's execution order starts at the
-  /// pivot itself (plan.order(pivot).steps[0].decl_pos == pivot), which
-  /// also means no binding slots are live at depth 0 — only clause
-  /// constants can be ground probe positions here.
-  void MaterializePivotCandidates(
-      const Clause& c, const plan::ClausePlan& plan,
-      const std::vector<const std::vector<size_t>*>& lists,
-      const std::vector<std::pair<size_t, size_t>>& cut, size_t pivot,
-      size_t delta_begin, size_t delta_end, std::vector<size_t>* out) {
-    const plan::PivotOrder& order = plan.order(pivot);
-    size_t pos = order.steps[0].decl_pos;
-    const std::vector<plan::PlanArg>& pattern = plan.body[pos];
-    const std::vector<size_t>* hits = nullptr;
-    const std::vector<size_t>* vars = nullptr;
-    size_t win_i = 0, win_i_end = 0, win_j = 0, win_j_end = 0;
-    bool have_windows = false;
-    size_t best_size = 0;
-    int ground_positions = 0;
-    for (uint16_t k : order.steps[0].probe_positions) {
-      const plan::PlanArg& a = pattern[k];
-      if (!a.is_const) continue;  // depth 0: no slot is bound yet
-      ++ground_positions;
-      const std::vector<size_t>& h =
-          view_.AtomsForArgValue(c.body[pos].pred, k, a.value);
-      const std::vector<size_t>& w =
-          view_.AtomsForNonConstArg(c.body[pos].pred, k);
-      if (!plan.multi_probe) {
-        hits = &h;
-        vars = &w;
-        break;
-      }
-      size_t i = LowerBoundPos(h, delta_begin);
-      size_t i_end = LowerBoundPos(h, delta_end);
-      size_t j = LowerBoundPos(w, delta_begin);
-      size_t j_end = LowerBoundPos(w, delta_end);
-      size_t size = (i_end - i) + (j_end - j);
-      if (hits == nullptr || size < best_size) {
-        hits = &h;
-        vars = &w;
-        best_size = size;
-        win_i = i;
-        win_i_end = i_end;
-        win_j = j;
-        win_j_end = j_end;
-        have_windows = true;
-      }
-    }
-    if (ground_positions >= 2) stats_->probe_intersections++;
-    if (hits != nullptr) {
-      stats_->index_probes++;
-      size_t i = have_windows ? win_i : LowerBoundPos(*hits, delta_begin);
-      size_t i_end =
-          have_windows ? win_i_end : LowerBoundPos(*hits, delta_end);
-      size_t j = have_windows ? win_j : LowerBoundPos(*vars, delta_begin);
-      size_t j_end =
-          have_windows ? win_j_end : LowerBoundPos(*vars, delta_end);
-      while (i < i_end || j < j_end) {
-        if (j >= j_end || (i < i_end && (*hits)[i] < (*vars)[j])) {
-          out->push_back((*hits)[i++]);
-        } else {
-          out->push_back((*vars)[j++]);
-        }
-      }
-      return;
-    }
-    const std::vector<size_t>& list = *lists[pos];
-    for (size_t i = cut[pos].first; i < cut[pos].second; ++i) {
-      out->push_back(list[i]);
-    }
-  }
-
-  /// \brief One shard of a partitioned pivot pass: unifies the
-  /// materialized candidates in [begin, end) at depth 0, recursing into
-  /// deeper steps exactly as the whole pass would. Does NOT count
-  /// depth-0 probes — MaterializePivotCandidates already did.
-  Status RunPivotSlice(const Clause& c, const plan::ClausePlan& plan,
-                       const std::vector<const std::vector<size_t>*>& lists,
-                       const std::vector<std::pair<size_t, size_t>>& cut,
-                       size_t pivot, const std::vector<size_t>& candidates,
-                       size_t begin, size_t end, size_t delta_begin,
-                       size_t delta_end, int round) {
-    BeginPass(plan, c.body.size());
-    const plan::PivotOrder& order = plan.order(pivot);
-    std::vector<size_t> chosen(c.body.size());
-    for (size_t i = begin; i < end; ++i) {
-      MMV_RETURN_NOT_OK(TryCandidate(c, plan, order, lists, cut, pivot,
-                                     /*depth=*/0, delta_begin, delta_end,
-                                     round, &chosen, candidates[i]));
-      if (sink_->Full()) return Status::OK();
-    }
     return Status::OK();
+  }
+
+  /// \brief Appends a sharded pivot's depth-0 candidates to \p out in
+  /// exactly the order a whole-pivot slice enumerates them. Runs ONCE per
+  /// (clause, pivot) on the engine thread — it counts the depth-0
+  /// index_probes / probe_intersections into the bound stats, and shards
+  /// then enumerate contiguous subranges without re-probing, so the probe
+  /// counters stay identical to num_threads=1 whatever the shard count.
+  void MaterializePivotCandidates(const Clause& c,
+                                  const plan::ClausePlan& plan,
+                                  const PassWindows& windows, size_t pivot,
+                                  std::vector<size_t>* out) {
+    BeginPass(c, plan, windows, pivot, /*round=*/0);
+    Candidates candidates = SelectCandidates(0);
+    for (size_t idx; candidates.Next(&idx);) out->push_back(idx);
   }
 
   // ---- shared derivation tail -------------------------------------------
@@ -367,14 +268,45 @@ class ClauseRunner {
   }
 
  private:
-  // Resets the binding slots, undo log and feedback counters for one
-  // planned pass (a whole clause, one pivot, or one shard of one).
-  void BeginPass(const plan::ClausePlan& plan, size_t body_size) {
-    feedback_due_ = true;
+  // Where one planned step's candidates come from: the merged windows of
+  // an arg-value bucket and its position's variable-argument atoms (a
+  // variable instance argument unifies with any value), or — when no
+  // probe position is ground — the body position's posting-list window
+  // (vars null, its window empty). Next() yields ascending atom indices,
+  // the oracle's enumeration order.
+  struct Candidates {
+    const std::vector<size_t>* hits = nullptr;
+    const std::vector<size_t>* vars = nullptr;
+    size_t i = 0, i_end = 0, j = 0, j_end = 0;
+
+    size_t size() const { return (i_end - i) + (j_end - j); }
+    bool Next(size_t* idx) {
+      if (i < i_end && (j >= j_end || (*hits)[i] < (*vars)[j])) {
+        *idx = (*hits)[i++];
+        return true;
+      }
+      if (j >= j_end) return false;
+      *idx = (*vars)[j++];
+      return true;
+    }
+  };
+
+  // Starts one planned slice: records the pass and resets the binding
+  // slots, undo log and feedback counters.
+  void BeginPass(const Clause& c, const plan::ClausePlan& plan,
+                 const PassWindows& windows, size_t pivot, int round) {
+    clause_ = &c;
+    plan_ = &plan;
+    order_ = &plan.order(pivot);
+    windows_ = &windows;
+    pivot_ = pivot;
+    round_ = round;
+    size_t n = c.body.size();
+    chosen_.assign(n, 0);
     bound_.assign(static_cast<size_t>(plan.num_slots), BoundRef{});
     undo_.clear();
-    cand_.assign(body_size, 0);
-    acc_.assign(body_size, 0);
+    cand_.assign(n, 0);
+    acc_.assign(n, 0);
   }
 
   // A ground binding: which chosen instance argument bound the slot. Atom
@@ -431,40 +363,24 @@ class ClauseRunner {
     return Status::OK();
   }
 
-  Status RecursePlanned(const Clause& c, const plan::ClausePlan& plan,
-                        const plan::PivotOrder& order,
-                        const std::vector<const std::vector<size_t>*>& lists,
-                        const std::vector<std::pair<size_t, size_t>>& cut,
-                        size_t pivot, size_t depth, size_t delta_begin,
-                        size_t delta_end, int round,
-                        std::vector<size_t>* chosen) {
-    if (depth == c.body.size()) {
-      return DerivePlanned(c, plan, *chosen, round);
-    }
-    // The seminaive window is keyed by the DECLARED position (so each
-    // combination is enumerated under exactly one pivot, whatever the
-    // execution order); only the nesting order is the plan's.
-    size_t pos = order.steps[depth].decl_pos;
-    size_t lo_limit = pos == pivot ? delta_begin : 0;
-    size_t hi_limit = pos < pivot ? delta_begin : delta_end;
-    const std::vector<plan::PlanArg>& pattern = plan.body[pos];
-
-    // Probe selection over the plan's precomputed candidate positions (the
-    // ones that CAN be ground here: clause constants, slots bound by an
-    // earlier step). kDeclared takes the first actually-ground one; with
-    // multi_probe every ground bucket is weighed and the smallest is
-    // enumerated. Sound candidates are the atoms whose argument there is
-    // the same constant — or not a constant at all (a variable instance
-    // argument can unify with any value), hence the bucket-pair merge.
-    const std::vector<size_t>* hits = nullptr;
-    const std::vector<size_t>* vars = nullptr;
-    // Seminaive windows of the winning bucket pair, computed once during
-    // weighing and reused for the enumeration below.
-    size_t win_i = 0, win_i_end = 0, win_j = 0, win_j_end = 0;
-    bool have_windows = false;
-    size_t best_size = 0;
+  // Probe selection for step `depth` of the current pass, shared by the
+  // recursion and candidate materialization. The seminaive window is keyed
+  // by the DECLARED position (so each combination is enumerated under
+  // exactly one pivot, whatever the execution order); only the nesting
+  // order is the plan's. Every precomputed probe position that is actually
+  // ground here (a clause constant, or a slot bound by an earlier step) is
+  // weighed and the smallest windowed bucket wins.
+  Candidates SelectCandidates(size_t depth) {
+    const plan::PlanStep& step = order_->steps[depth];
+    size_t pos = step.decl_pos;
+    const PassWindows& w = *windows_;
+    size_t lo_limit = pos == pivot_ ? w.delta_begin : 0;
+    size_t hi_limit = pos < pivot_ ? w.delta_begin : w.delta_end;
+    const std::vector<plan::PlanArg>& pattern = plan_->body[pos];
+    Symbol pred = clause_->body[pos].pred;
+    Candidates best;
     int ground_positions = 0;
-    for (uint16_t k : order.steps[depth].probe_positions) {
+    for (uint16_t k : step.probe_positions) {
       const plan::PlanArg& a = pattern[k];
       const Value* v;
       if (a.is_const) {
@@ -475,64 +391,34 @@ class ClauseRunner {
         continue;
       }
       ++ground_positions;
-      const std::vector<size_t>& h =
-          view_.AtomsForArgValue(c.body[pos].pred, k, *v);
-      const std::vector<size_t>& w =
-          view_.AtomsForNonConstArg(c.body[pos].pred, k);
-      if (!plan.multi_probe) {
-        hits = &h;
-        vars = &w;
-        break;
-      }
-      size_t i = LowerBoundPos(h, lo_limit);
-      size_t i_end = LowerBoundPos(h, hi_limit);
-      size_t j = LowerBoundPos(w, lo_limit);
-      size_t j_end = LowerBoundPos(w, hi_limit);
-      size_t size = (i_end - i) + (j_end - j);
-      if (hits == nullptr || size < best_size) {
-        hits = &h;
-        vars = &w;
-        best_size = size;
-        win_i = i;
-        win_i_end = i_end;
-        win_j = j;
-        win_j_end = j_end;
-        have_windows = true;
-      }
+      const std::vector<size_t>& h = view_.AtomsForArgValue(pred, k, *v);
+      const std::vector<size_t>& vars = view_.AtomsForNonConstArg(pred, k);
+      Candidates probe{&h,
+                       &vars,
+                       LowerBoundPos(h, lo_limit),
+                       LowerBoundPos(h, hi_limit),
+                       LowerBoundPos(vars, lo_limit),
+                       LowerBoundPos(vars, hi_limit)};
+      if (ground_positions == 1 || probe.size() < best.size()) best = probe;
     }
     if (ground_positions >= 2) stats_->probe_intersections++;
-
-    if (hits != nullptr) {
+    if (ground_positions > 0) {
       stats_->index_probes++;
-      // Merge the two ascending lists within [lo_limit, hi_limit) so the
-      // candidate order matches the oracle's (ascending atom index).
-      size_t i = have_windows ? win_i : LowerBoundPos(*hits, lo_limit);
-      size_t i_end = have_windows ? win_i_end : LowerBoundPos(*hits, hi_limit);
-      size_t j = have_windows ? win_j : LowerBoundPos(*vars, lo_limit);
-      size_t j_end = have_windows ? win_j_end : LowerBoundPos(*vars, hi_limit);
-      while (i < i_end || j < j_end) {
-        size_t idx;
-        if (j >= j_end || (i < i_end && (*hits)[i] < (*vars)[j])) {
-          idx = (*hits)[i++];
-        } else {
-          idx = (*vars)[j++];
-        }
-        MMV_RETURN_NOT_OK(TryCandidate(c, plan, order, lists, cut, pivot,
-                                       depth, delta_begin, delta_end, round,
-                                       chosen, idx));
-        if (sink_->Full()) return Status::OK();
-      }
-      return Status::OK();
+      return best;
     }
+    Candidates window;
+    window.hits = w.lists[pos];
+    window.i = pos == pivot_ ? w.cut[pos].first : 0;
+    window.i_end = pos < pivot_ ? w.cut[pos].first : w.cut[pos].second;
+    return window;
+  }
 
-    const std::vector<size_t>& list = *lists[pos];
-    size_t begin = pos == pivot ? cut[pos].first : 0;
-    size_t end = pos < pivot ? cut[pos].first : cut[pos].second;
-    for (size_t i = begin; i < end; ++i) {
-      MMV_RETURN_NOT_OK(TryCandidate(c, plan, order, lists, cut, pivot,
-                                     depth, delta_begin, delta_end, round,
-                                     chosen, list[i]));
-      if (sink_->Full()) return Status::OK();
+  Status RecursePlanned(size_t depth) {
+    if (depth == clause_->body.size()) return DerivePlanned();
+    Candidates candidates = SelectCandidates(depth);
+    for (size_t idx; candidates.Next(&idx);) {
+      MMV_RETURN_NOT_OK(TryCandidate(depth, idx));
+      if (sink_->Full()) break;
     }
     return Status::OK();
   }
@@ -540,16 +426,10 @@ class ClauseRunner {
   // Unifies the candidate's ground arguments against the pattern: mismatch
   // rejects the whole subtree below this step; a first ground sighting
   // of a pattern variable binds its slot (undone on backtrack).
-  Status TryCandidate(const Clause& c, const plan::ClausePlan& plan,
-                      const plan::PivotOrder& order,
-                      const std::vector<const std::vector<size_t>*>& lists,
-                      const std::vector<std::pair<size_t, size_t>>& cut,
-                      size_t pivot, size_t depth, size_t delta_begin,
-                      size_t delta_end, int round, std::vector<size_t>* chosen,
-                      size_t idx) {
-    size_t pos = order.steps[depth].decl_pos;
+  Status TryCandidate(size_t depth, size_t idx) {
+    size_t pos = order_->steps[depth].decl_pos;
     const ViewAtom& inst = view_.atoms()[idx];
-    const std::vector<plan::PlanArg>& pattern = plan.body[pos];
+    const std::vector<plan::PlanArg>& pattern = plan_->body[pos];
     size_t undo_mark = undo_.size();
     bool ok = true;
     cand_[pos]++;
@@ -575,9 +455,8 @@ class ClauseRunner {
     Status status = Status::OK();
     if (ok) {
       acc_[pos]++;
-      (*chosen)[pos] = idx;
-      status = RecursePlanned(c, plan, order, lists, cut, pivot, depth + 1,
-                              delta_begin, delta_end, round, chosen);
+      chosen_[pos] = idx;
+      status = RecursePlanned(depth + 1);
     } else {
       stats_->ground_rejects++;
     }
@@ -593,12 +472,11 @@ class ClauseRunner {
   // slot), every instance constraint trivially true. With the clause
   // constraint also true, the rename + Eq-chain + simplify pipeline would
   // produce exactly (instantiated head, true) — so build that directly.
-  bool FastEligible(const plan::ClausePlan& plan,
-                    const std::vector<size_t>& chosen) const {
-    for (size_t i = 0; i < chosen.size(); ++i) {
-      const ViewAtom& inst = view_.atoms()[chosen[i]];
+  bool FastEligible() const {
+    for (size_t i = 0; i < chosen_.size(); ++i) {
+      const ViewAtom& inst = view_.atoms()[chosen_[i]];
       if (!inst.constraint.is_true()) return false;
-      const std::vector<plan::PlanArg>& pattern = plan.body[i];
+      const std::vector<plan::PlanArg>& pattern = plan_->body[i];
       if (inst.args.size() != pattern.size()) return false;
       for (size_t k = 0; k < pattern.size(); ++k) {
         if (!inst.args[k].is_const()) return false;
@@ -611,21 +489,20 @@ class ClauseRunner {
     return true;
   }
 
-  Status DerivePlanned(const Clause& c, const plan::ClausePlan& plan,
-                       const std::vector<size_t>& chosen, int round) {
-    if (!plan.constraint_true || !FastEligible(plan, chosen)) {
-      return Derive(c, chosen, round);
+  Status DerivePlanned() {
+    if (!plan_->constraint_true || !FastEligible()) {
+      return Derive(*clause_, chosen_, round_);
     }
     stats_->derivations_attempted++;
     stats_->rename_skipped++;
     ViewAtom atom;
-    atom.pred = c.head_pred;
-    atom.args.reserve(plan.head.size());
+    atom.pred = clause_->head_pred;
+    atom.args.reserve(plan_->head.size());
     // slot -> fresh variable for unsafe head variables, so repeated
     // occurrences of one variable share one fresh id (p(X, X) stays the
     // diagonal, not the cross product).
     std::vector<std::pair<int, VarId>> unsafe_fresh;
-    for (const plan::PlanArg& h : plan.head) {
+    for (const plan::PlanArg& h : plan_->head) {
       if (h.is_const) {
         atom.args.push_back(Term::Const(h.value));
       } else if (bound_[h.slot].atom != kNoAtom) {
@@ -648,10 +525,10 @@ class ClauseRunner {
       }
     }
     std::vector<Support> children;
-    children.reserve(chosen.size());
-    for (size_t i : chosen) children.push_back(view_.atoms()[i].support);
-    atom.support = Support(c.number, std::move(children));
-    atom.depth = round;
+    children.reserve(chosen_.size());
+    for (size_t i : chosen_) children.push_back(view_.atoms()[i].support);
+    atom.support = Support(clause_->number, std::move(children));
+    atom.depth = round_;
     sink_->Emit(std::move(atom), /*presimplified=*/true);
     return Status::OK();
   }
@@ -663,25 +540,31 @@ class ClauseRunner {
   FixpointStats* stats_ = nullptr;
   DeriveSink* sink_ = nullptr;
 
+  // The current planned slice (BeginPass).
+  const Clause* clause_ = nullptr;
+  const plan::ClausePlan* plan_ = nullptr;
+  const plan::PivotOrder* order_ = nullptr;
+  const PassWindows* windows_ = nullptr;
+  size_t pivot_ = 0;
+  int round_ = 0;
+  std::vector<size_t> chosen_;       // instance per decl body position
   std::vector<BoundRef> bound_;      // per plan slot
   std::vector<int> undo_;            // bound slots, LIFO
   std::vector<int64_t> cand_, acc_;  // per decl body position:
                                      // feedback for the cache
-  bool feedback_due_ = false;
   VarSet var_set_;  // scratch for Derive
   std::vector<Solver::JoinComponent> join_components_;  // scratch for the
                                                         // pre-rename screen
 };
 
-// One clause pass's staged output under parallel execution.
+// One derivation staged by a fanned-out slice.
 struct StagedAtom {
   ViewAtom atom;
   bool presimplified = false;
   CanonicalKey key;  ///< precomputed dedup key (kSet only)
 };
 
-// Everything one parallel slice — a (clause, pivot[, shard]) pass — hands
-// back to the round's merge.
+// Everything one fanned-out slice hands back to the round's merge.
 struct SliceOutcome {
   std::vector<StagedAtom> atoms;  ///< enumeration order
   std::vector<int64_t> cand, acc;
@@ -691,37 +574,34 @@ struct SliceOutcome {
   SolveStats solver;    ///< pass-local solver counters
 };
 
-// One schedulable unit of a parallel round. Slices are built in (clause,
-// pivot, shard) order, so merging them in list order with each slice's
-// atoms in enumeration order replays the exact sequential append order.
+// One schedulable unit of a planned round. Slices are built in (rule,
+// pivot, shard) order, so consuming them in list order with each slice's
+// atoms in enumeration order replays the exact one-thread append order.
 struct RoundSlice {
-  size_t clause = 0;  ///< clause index in program order
+  size_t rule = 0;    ///< index into the engine's rules (clause order)
   size_t pivot = 0;   ///< declared seminaive pivot position
-  bool sharded = false;  ///< enumerate pool[begin, end) instead of the
-                         ///  whole pivot window
-  size_t pool = 0;       ///< index into the round's candidate pools
+  int parts = 1;      ///< shards the pivot window is split into
+  int shard = 0;
+  // Fan-out only:
+  size_t pool = 0;            ///< round candidate pool (parts > 1)
   size_t begin = 0, end = 0;  ///< shard range within the pool
   SolveCache* cache = nullptr;  ///< persistent per-slice solver memo
 };
 
-// Stages derivations per clause; canonical dedup keys are computed here in
-// the worker (they are renaming-invariant, so the staged-variable ids do
-// not matter) and the per-round merge does the actual dedup insertions.
+// Stages one slice's derivations; canonical dedup keys are computed here
+// in the worker (they are renaming-invariant, so the staged-variable ids
+// do not matter) and the per-round merge does the actual dedup insertions.
 class StagingSink : public DeriveSink {
  public:
-  StagingSink(const FixpointOptions& options, size_t frozen_view_size)
-      : options_(options), frozen_(frozen_view_size) {}
+  StagingSink(const FixpointOptions& options, size_t frozen_view_size,
+              std::vector<StagedAtom>* out)
+      : options_(options), frozen_(frozen_view_size), out_(out) {}
 
-  void SetTarget(std::vector<StagedAtom>* out) {
-    out_ = out;
-    capped_ = false;
-  }
-
-  /// \brief True when Full() cut the current pass short. Staged counts are
-  /// PRE-dedup, so a capped pass may have stopped before derivations the
-  /// sequential engine (which caps on the deduped view size) would still
-  /// reach — the merge must flag the run truncated or atoms would be
-  /// dropped silently.
+  /// \brief True when Full() cut the pass short. Staged counts are
+  /// PRE-dedup, so a capped pass may have stopped before derivations an
+  /// inline pass (which caps on the deduped view size) would still reach
+  /// — the merge must flag the run truncated or atoms would be dropped
+  /// silently.
   bool capped() const { return capped_; }
 
   void Emit(ViewAtom atom, bool presimplified) override {
@@ -733,14 +613,13 @@ class StagingSink : public DeriveSink {
     s.atom = std::move(atom);
     s.presimplified = presimplified;
     out_->push_back(std::move(s));
-    ++staged_;
   }
 
-  // Per-task atom budget: the frozen view plus everything this task staged.
-  // (Truncation points under parallel execution legitimately differ from
-  // sequential — see FixpointOptions::num_threads.)
+  // Per-slice atom budget: the frozen view plus everything this slice
+  // staged. (Truncation points under fan-out legitimately differ from one
+  // thread — see FixpointOptions::num_threads.)
   bool Full() const override {
-    if (frozen_ + staged_ < options_.max_atoms) return false;
+    if (frozen_ + out_->size() < options_.max_atoms) return false;
     capped_ = true;
     return true;
   }
@@ -748,9 +627,8 @@ class StagingSink : public DeriveSink {
  private:
   const FixpointOptions& options_;
   size_t frozen_;
-  size_t staged_ = 0;
+  std::vector<StagedAtom>* out_;
   mutable bool capped_ = false;
-  std::vector<StagedAtom>* out_ = nullptr;
   std::string scratch_;
 };
 
@@ -761,32 +639,26 @@ class StagingSink : public DeriveSink {
 //
 //  - kNaive enumerates the full per-predicate cross product and lets the
 //    tail reject contradictory tuples. Kept as the differential oracle.
-//  - kIndexed executes a compiled plan::ClausePlan (from the shared
-//    PlanCache): body atoms run in the plan's per-pivot selectivity order,
-//    each step probes the view's arg-value index through the plan's
-//    precomputed probe positions (picking the smallest of several ground
-//    buckets under PlanMode::kOrdered), and the incremental substitution
-//    threads through dense binding slots so any ground mismatch rejects
-//    the candidate before deeper steps are enumerated.
+//  - kIndexed executes compiled plan::ClausePlans (from the shared
+//    PlanCache) as (clause, pivot[, shard]) slices: body atoms run in the
+//    plan's per-pivot selectivity order, each step probes the view's
+//    arg-value index through the plan's precomputed probe positions
+//    (picking the smallest of several ground buckets), and the incremental
+//    substitution threads through dense binding slots so any ground
+//    mismatch rejects the candidate before deeper steps are enumerated.
 //
-// With options.num_threads > 1 (and the kIndexed executor active), each
-// round's clause passes run CONCURRENTLY: the round's delta window is
-// frozen before any pass starts — sequential rounds never see intra-round
-// derivations either, since every window is capped at delta_end — so the
-// passes share the view read-only. Work is scheduled per (clause, pivot)
-// slice — clause passes are mutually independent because every one reads
-// only below delta_end, and the pivots within one pass are independent for
-// the same reason — and a pivot whose frozen delta window clears the
-// partition threshold (plan/partition.h) is split further into contiguous
-// shards of its depth-0 candidate sequence, so even a single recursive
-// clause fans out. Every slice stages its derivations with a private
-// staging factory for fresh variables, and one merge per round replays
-// them into the view in (clause, pivot, shard, enumeration) order —
-// exactly the sequential append order — doing dedup, counters and plan
-// feedback on the engine thread. Hence canonical atom sets, support
-// multisets and derivation counters are identical to the sequential
-// engine's; only fresh-variable numbering and solver-memo hit counts are
-// scheduling-free but not sequential-identical.
+// Each planned round freezes its delta window before any slice starts —
+// every window is capped at delta_end, so no slice sees intra-round
+// derivations — which makes the slices mutually independent. The round's
+// slice list then either runs inline on the engine's own runner, appending
+// through DirectSink, or fans out across threads: every slice stages its
+// derivations with a private solver and staging factory for fresh
+// variables, and one merge replays them into the view in (clause, pivot,
+// shard, enumeration) order — exactly the inline append order — doing
+// dedup, counters and plan feedback on the engine thread. Hence canonical
+// atom sets, support multisets and derivation counters are identical
+// whatever the thread count; only fresh-variable numbering and solver-memo
+// hit counts are scheduling-free but not one-thread-identical.
 class Engine {
  public:
   Engine(const Program& program, DcaEvaluator* evaluator,
@@ -806,14 +678,21 @@ class Engine {
         // could legitimately keep such an atom — fall back to the oracle.
         indexed_(options.join_mode == JoinMode::kIndexed &&
                  options.simplify && options.prune_static_contradictions),
-        parallel_(indexed_ && options.num_threads > 1),
-        local_plans_(options.plan_mode),
-        plans_(plan::PlanCache::Select(options.plan_cache, options.plan_mode,
-                                       &local_plans_)),
+        // Workers call the evaluator unserialized, so fanning out needs
+        // one that vouches for concurrent pure reads; any other runs
+        // every round inline.
+        fan_out_(indexed_ && options.num_threads > 1 &&
+                 (evaluator == nullptr || evaluator->ConcurrentReadSafe())),
+        plans_(options.plan_cache != nullptr ? options.plan_cache
+                                             : &local_plans_),
         plan_stats_start_(plans_->stats()),
         direct_sink_(this),
         runner_(view_, options_, &solver_, &factory_) {
     runner_.Bind(stats_, &direct_sink_);
+    const std::vector<Clause>& clauses = program.clauses();
+    for (size_t ci = 0; ci < clauses.size(); ++ci) {
+      if (!clauses[ci].IsFact()) rules_.push_back(Rule{ci});
+    }
   }
 
   Result<View> Run(View initial, size_t delta_begin) {
@@ -855,25 +734,17 @@ class Engine {
         break;
       }
       stats_->iterations = round;
-      size_t size_at_round_start = view_.size();
-
-      // Parallel rounds need the real factory well clear of the staging
-      // base, so staged ids stay recognizable. The round decides its own
-      // fan-out from the frozen windows — including an inline sequential
-      // fallback when fewer than two slices would run. Both decisions are
-      // deterministic, so the choice never shows in any output.
-      if (parallel_ && factory_.issued() < kStagingVarBase / 2) {
-        MMV_RETURN_NOT_OK(RunRoundParallel(delta_begin, delta_end, round));
+      if (indexed_) {
+        MMV_RETURN_NOT_OK(RunPlannedRound(delta_begin, delta_end, round));
         if (Capped()) return Finish();
       } else {
-        for (const Clause& c : program_.clauses()) {
-          if (c.IsFact()) continue;
-          MMV_RETURN_NOT_OK(RunClauseSequential(c, delta_begin, delta_end,
-                                                round));
+        for (const Rule& r : rules_) {
+          MMV_RETURN_NOT_OK(runner_.RunNaive(program_.clauses()[r.clause],
+                                             delta_begin, delta_end, round));
           if (Capped()) return Finish();
         }
       }
-      delta_begin = size_at_round_start;
+      delta_begin = delta_end;
     }
     return Finish();
   }
@@ -898,7 +769,7 @@ class Engine {
     return s;
   }
 
-  // Sequential sink: dedup + append to the live view.
+  // Inline sink: dedup + append to the live view.
   class DirectSink : public DeriveSink {
    public:
     explicit DirectSink(Engine* engine) : engine_(engine) {}
@@ -923,7 +794,7 @@ class Engine {
 
   View Finish() {
     stats_->solver = solver_.stats();
-    stats_->solver += parallel_solver_;
+    stats_->solver += fan_out_solver_;
     // Attribute this run's share of the (possibly shared) plan cache's
     // activity: the counters are monotone, so the delta since construction
     // is exactly what this run caused.
@@ -933,226 +804,177 @@ class Engine {
     return std::move(view_);
   }
 
-  Status RunClauseSequential(const Clause& c, size_t delta_begin,
-                             size_t delta_end, int round) {
-    if (!indexed_) {
-      return runner_.RunNaive(c, delta_begin, delta_end, round);
-    }
-    // Keep a reference for the whole pass: an adaptive recompile may swap
-    // the cache's entry mid-run, and a consistent order is required for
-    // the binding/undo discipline of the executor.
-    std::shared_ptr<const plan::ClausePlan> plan =
-        plans_->PlanFor(program_, c);
-    Status status = runner_.RunPlanned(c, *plan, delta_begin, delta_end,
-                                       round);
-    // Adaptive selectivity feedback: per DECLARED body position, how many
-    // candidates were unified against this pass and how many survived.
-    if (runner_.feedback_due()) {
-      plans_->Feedback(c.number, runner_.candidates(), runner_.accepted());
-    }
-    return status;
-  }
+  // ---- the planned slice executor ---------------------------------------
 
-  // ---- parallel round ---------------------------------------------------
-
-  // Per-clause window prep of one parallel round (PreparePass output plus
-  // the shard count chosen per pivot).
-  struct ClausePrep {
-    bool runnable = false;  ///< passed PreparePass's screens
-    std::vector<const std::vector<size_t>*> lists;
-    std::vector<std::pair<size_t, size_t>> cut;
-    std::vector<int> parts;  ///< shards per pivot (0: empty window)
+  // One rule (non-fact clause) of the program, with its state for the
+  // current planned round. Rules are listed once per run, so no round
+  // walks the program's facts.
+  struct Rule {
+    size_t clause = 0;  ///< index in program order
+    std::shared_ptr<const plan::ClausePlan> plan;  ///< prefetched per round
+    bool runnable = false;  ///< passed PreparePass's screens this round
+    PassWindows windows;
+    std::vector<int64_t> cand, acc;  ///< summed slice feedback
   };
 
-  // The persistent solver memo of one (clause, pivot, shard) slice,
-  // reused across ALL rounds of the run (the evaluator state is fixed for
-  // the run — the memo's validity contract): hit counts stay
+  // The persistent solver memo of one (rule, pivot, shard) slice, reused
+  // across ALL fanned-out rounds of the run (the evaluator state is fixed
+  // for the run — the memo's validity contract): hit counts stay
   // scheduling-independent because each cache belongs to a slice key, not
-  // a thread, and the sequential engine's own cross-round memo is matched
-  // instead of being thrown away per round.
-  SolveCache* SliceCache(size_t clause, size_t pivot, int shard) {
+  // a thread.
+  SolveCache* SliceCache(const RoundSlice& s) {
     std::unique_ptr<SolveCache>& slot =
-        slice_caches_[std::make_tuple(clause, pivot, shard)];
+        slice_caches_[std::make_tuple(s.rule, s.pivot, s.shard)];
     if (slot == nullptr) slot = std::make_unique<SolveCache>();
     return slot.get();
   }
 
-  Status RunRoundParallel(size_t delta_begin, size_t delta_end, int round) {
+  Status RunPlannedRound(size_t delta_begin, size_t delta_end, int round) {
     const std::vector<Clause>& clauses = program_.clauses();
-    // Prefetch the round's plans on the engine thread — the same PlanFor
-    // sequence (clause order, once per round) the sequential engine
-    // issues, so cache evolution and hit counters match it exactly; the
-    // workers then share the immutable plans read-only. The inline
-    // fallback below reuses these plans instead of re-entering PlanFor,
-    // for the same reason.
-    if (plans_prefetched_.size() != clauses.size()) {
-      plans_prefetched_.resize(clauses.size());
-    }
-    for (size_t ci = 0; ci < clauses.size(); ++ci) {
-      if (clauses[ci].IsFact()) continue;
-      plans_prefetched_[ci] = plans_->PlanFor(program_, clauses[ci]);
-    }
-
-    // Stage 1 — slice the round. Pure reads of the frozen windows (no
-    // stats writes), so the go/no-go decision below cannot skew any
-    // counter: a pivot is shardable when its execution order starts at
-    // the pivot itself (then depth 0 is a plain candidate sequence with
-    // no live binding slots), and worth sharding when its frozen window
-    // clears the partition threshold.
-    std::vector<ClausePrep> prep(clauses.size());
-    size_t total_slices = 0;
-    for (size_t ci = 0; ci < clauses.size(); ++ci) {
-      const Clause& c = clauses[ci];
-      if (c.IsFact()) continue;
-      ClausePrep& p = prep[ci];
-      p.runnable =
-          runner_.PreparePass(c, delta_begin, delta_end, &p.lists, &p.cut);
-      if (!p.runnable) continue;
-      const plan::ClausePlan& plan = *plans_prefetched_[ci];
-      p.parts.assign(c.body.size(), 0);
+    // Slice the round. Plans are prefetched on the engine thread in clause
+    // order: the slices then share the immutable plans read-only, and a
+    // pass keeps a consistent order even if feedback recompiles its
+    // clause. PreparePass is a pure read of the frozen windows, so where
+    // the slices run cannot skew any counter. Fanning out needs the real
+    // factory well clear of the staging base (staged ids must stay
+    // recognizable) and at least two slices; a pivot window that clears
+    // the partition threshold splits into shards.
+    bool may_fan_out = fan_out_ && factory_.issued() < kStagingVarBase / 2;
+    slices_.clear();
+    for (size_t ri = 0; ri < rules_.size(); ++ri) {
+      Rule& r = rules_[ri];
+      const Clause& c = clauses[r.clause];
+      r.plan = plans_->PlanFor(program_, c);
+      r.runnable = runner_.PreparePass(c, delta_begin, delta_end, &r.windows);
+      if (!r.runnable) continue;
       for (size_t pivot = 0; pivot < c.body.size(); ++pivot) {
-        if (p.cut[pivot].first == p.cut[pivot].second) continue;
-        size_t window = p.cut[pivot].second - p.cut[pivot].first;
-        bool shardable = plan.order(pivot).steps[0].decl_pos == pivot;
-        p.parts[pivot] =
-            shardable
-                ? plan::PartitionCountFor(window, options_.num_threads)
-                : 1;
-        total_slices += static_cast<size_t>(p.parts[pivot]);
-      }
-    }
-
-    // Nothing worth fanning out: run the round sequentially in place
-    // (prefetched plans, same feedback and error semantics as the
-    // sequential clause loop; Run()'s Capped() finishes the view).
-    if (total_slices < 2) {
-      for (size_t ci = 0; ci < clauses.size(); ++ci) {
-        if (clauses[ci].IsFact()) continue;
-        Status status = runner_.RunPlanned(
-            clauses[ci], *plans_prefetched_[ci], delta_begin, delta_end,
-            round);
-        if (runner_.feedback_due()) {
-          plans_->Feedback(clauses[ci].number, runner_.candidates(),
-                           runner_.accepted());
-        }
-        MMV_RETURN_NOT_OK(status);
-        if (Capped()) return Status::OK();
-      }
-      return Status::OK();
-    }
-
-    // Stage 2 — materialize sharded pivots' candidate sequences and build
-    // the slice list. Depth-0 probe counters for sharded pivots are
-    // counted here, once per (clause, pivot), on the engine thread.
-    std::vector<std::vector<size_t>> pools;
-    std::vector<RoundSlice> slices;
-    slices.reserve(total_slices);
-    for (size_t ci = 0; ci < clauses.size(); ++ci) {
-      if (clauses[ci].IsFact() || !prep[ci].runnable) continue;
-      const Clause& c = clauses[ci];
-      ClausePrep& p = prep[ci];
-      for (size_t pivot = 0; pivot < c.body.size(); ++pivot) {
-        int parts = p.parts[pivot];
-        if (parts == 0) continue;  // empty delta window
-        if (parts == 1) {
-          bool shardable =
-              plans_prefetched_[ci]->order(pivot).steps[0].decl_pos == pivot;
-          if (shardable) stats_->partition_skipped_small++;
-          RoundSlice s;
-          s.clause = ci;
-          s.pivot = pivot;
-          s.cache = SliceCache(ci, pivot, 0);
-          slices.push_back(s);
-          continue;
-        }
-        stats_->partitions_run += parts;
-        pools.emplace_back();
-        runner_.MaterializePivotCandidates(c, *plans_prefetched_[ci],
-                                           p.lists, p.cut, pivot,
-                                           delta_begin, delta_end,
-                                           &pools.back());
-        size_t items = pools.back().size();
+        auto [first, last] = r.windows.cut[pivot];
+        if (first == last) continue;  // empty delta window
+        int parts = may_fan_out ? plan::PartitionCountFor(
+                                      last - first, options_.num_threads)
+                                : 1;
         for (int shard = 0; shard < parts; ++shard) {
-          auto [begin, end] = plan::PartitionRange(items, parts, shard);
           RoundSlice s;
-          s.clause = ci;
+          s.rule = ri;
           s.pivot = pivot;
-          s.sharded = true;
-          s.pool = pools.size() - 1;
-          s.begin = begin;
-          s.end = end;
-          s.cache = SliceCache(ci, pivot, shard);
-          slices.push_back(s);
+          s.parts = parts;
+          s.shard = shard;
+          slices_.push_back(s);
         }
       }
     }
+    bool fan_out = may_fan_out && slices_.size() >= 2;
+    std::vector<SliceOutcome> outcomes;
+    if (fan_out) MMV_RETURN_NOT_OK(FanOut(round, &outcomes));
 
-    // Thread-safe domain path: when the evaluator vouches for concurrent
-    // pure reads the workers call it directly — lock-free — and the
+    // Consume the slices in list order: inline ones run here, appending
+    // through DirectSink; fanned-out ones merge their staged atoms. Either
+    // way each runnable rule reports the sum of its slices' feedback (a
+    // rule whose windows were all empty reports zeros), and the round
+    // stops at the first error or when the view reaches the atom budget
+    // (Run()'s Capped() finishes the view).
+    size_t si = 0;
+    for (size_t ri = 0; ri < rules_.size(); ++ri) {
+      Rule& r = rules_[ri];
+      if (!r.runnable) continue;
+      const Clause& c = clauses[r.clause];
+      size_t n = c.body.size();
+      r.cand.assign(n, 0);
+      r.acc.assign(n, 0);
+      auto add_feedback = [&r, n](const std::vector<int64_t>& cand,
+                                  const std::vector<int64_t>& acc) {
+        for (size_t pos = 0; pos < n; ++pos) {
+          r.cand[pos] += cand[pos];
+          r.acc[pos] += acc[pos];
+        }
+      };
+      Status status = Status::OK();
+      for (; si < slices_.size() && slices_[si].rule == ri; ++si) {
+        if (fan_out) {
+          SliceOutcome& out = outcomes[si];
+          status = MergeSlice(&out);
+          add_feedback(out.cand, out.acc);
+        } else {
+          status = runner_.RunSlice(c, *r.plan, r.windows, slices_[si].pivot,
+                                    round);
+          add_feedback(runner_.candidates(), runner_.accepted());
+        }
+        if (!status.ok() || direct_sink_.Full()) break;
+      }
+      plans_->Feedback(c.number, r.cand, r.acc);
+      MMV_RETURN_NOT_OK(status);
+      if (direct_sink_.Full()) return Status::OK();
+    }
+    return Status::OK();
+  }
+
+  // Runs the round's slices across the thread pool into \p outcomes.
+  Status FanOut(int round, std::vector<SliceOutcome>* outcomes) {
+    const std::vector<Clause>& clauses = program_.clauses();
+    // Sharded pivots: materialize each one's depth-0 candidates once, on
+    // the engine thread, and hand every shard a contiguous range of them.
+    std::vector<std::vector<size_t>> pools;
+    for (RoundSlice& s : slices_) {
+      s.cache = SliceCache(s);
+      if (s.parts == 1) {
+        stats_->partition_skipped_small++;
+        continue;
+      }
+      stats_->partitions_run++;
+      if (s.shard == 0) {
+        const Rule& r = rules_[s.rule];
+        pools.emplace_back();
+        runner_.MaterializePivotCandidates(clauses[r.clause], *r.plan,
+                                           r.windows, s.pivot, &pools.back());
+      }
+      s.pool = pools.size() - 1;
+      std::tie(s.begin, s.end) =
+          plan::PartitionRange(pools.back().size(), s.parts, s.shard);
+    }
+
+    // The workers call the read-safe evaluator directly, lock-free; the
     // epoch check after the fan-out polices the single-writer contract
-    // that claim rests on. Anything else keeps the serialized
-    // MutexDcaEvaluator fallback.
-    DcaEvaluator* worker_evaluator = nullptr;
+    // that claim rests on.
     int64_t epoch_before = 0;
     if (evaluator_ != nullptr) {
       epoch_before = evaluator_->StateEpoch();
-      if (evaluator_->ConcurrentReadSafe()) {
-        worker_evaluator = evaluator_;
-        stats_->evaluator_clones += static_cast<int64_t>(slices.size());
-      } else {
-        if (locked_evaluator_ == nullptr) {
-          locked_evaluator_ = std::make_unique<MutexDcaEvaluator>(evaluator_);
-        }
-        worker_evaluator = locked_evaluator_.get();
-        stats_->mutex_evaluator_engaged +=
-            static_cast<int64_t>(slices.size());
-      }
+      stats_->evaluator_clones += static_cast<int64_t>(slices_.size());
     }
-
-    std::vector<SliceOutcome> outcomes(slices.size());
+    outcomes->resize(slices_.size());
     auto run_slice = [&](size_t si) {
-      const RoundSlice& s = slices[si];
-      const Clause& c = clauses[s.clause];
-      const plan::ClausePlan& plan = *plans_prefetched_[s.clause];
-      const ClausePrep& p = prep[s.clause];
-      SliceOutcome& out = outcomes[si];
-      // Per-slice solver memo (see SliceCache): outcomes are identical
-      // to any shared memo's (fixed evaluator state), and a slice-owned
-      // one keeps the pass free of cross-thread coordination. Never
-      // share a memo across threads — even a caller-provided one
-      // (options.solver.cache / options.solve_cache) is swapped out
-      // here; SolveCache is not synchronized.
+      const RoundSlice& s = slices_[si];
+      const Rule& r = rules_[s.rule];
+      SliceOutcome& out = (*outcomes)[si];
+      // Per-slice solver memo (see SliceCache): outcomes are identical to
+      // any shared memo's (fixed evaluator state), and a slice-owned one
+      // keeps the pass free of cross-thread coordination. Never share a
+      // memo across threads — even a caller-provided one
+      // (options.solver.cache / options.solve_cache) is swapped out here;
+      // SolveCache is not synchronized. RejectCache is not synchronized
+      // either, so slices run without one (no lookups, no recording).
       SolverOptions solver_options = options_.solver;
       solver_options.cache = s.cache;
-      // Same rule for the rejection memo: RejectCache is not synchronized,
-      // so parallel slices run without one (no lookups, no recording).
       solver_options.reject_cache = nullptr;
-      Solver solver(worker_evaluator, solver_options);
+      Solver solver(evaluator_, solver_options);
       VarFactory factory;
       factory.ReserveAbove(kStagingVarBase);
-      StagingSink sink(options_, view_.size());
-      sink.SetTarget(&out.atoms);
+      StagingSink sink(options_, view_.size(), &out.atoms);
       ClauseRunner runner(view_, options_, &solver, &factory);
       runner.Bind(&out.stats, &sink);
-      if (s.sharded) {
-        out.status = runner.RunPivotSlice(c, plan, p.lists, p.cut, s.pivot,
-                                          pools[s.pool], s.begin, s.end,
-                                          delta_begin, delta_end, round);
-      } else {
-        out.status = runner.RunPivotPass(c, plan, p.lists, p.cut, s.pivot,
-                                         delta_begin, delta_end, round);
-      }
+      out.status = runner.RunSlice(
+          clauses[r.clause], *r.plan, r.windows, s.pivot, round,
+          s.parts > 1 ? &pools[s.pool] : nullptr, s.begin, s.end);
       out.cand = runner.candidates();
       out.acc = runner.accepted();
       out.capped = sink.capped();
       out.solver = solver.stats();
     };
-    ThreadPool::Global().ParallelFor(slices.size(), options_.num_threads,
+    ThreadPool::Global().ParallelFor(slices_.size(), options_.num_threads,
                                      run_slice);
 
-    // The lock-free path reads the external state unguarded; a writer
-    // slipping in mid-round would have produced silently inconsistent
-    // derivations. Fail loudly instead of merging them.
+    // The workers read the external state unguarded; a writer slipping in
+    // mid-round would have produced silently inconsistent derivations.
+    // Fail loudly instead of merging them.
     if (evaluator_ != nullptr && evaluator_->StateEpoch() != epoch_before) {
       return Status::Internal(
           "external state changed under a parallel fixpoint round "
@@ -1161,53 +983,30 @@ class Engine {
           "); concurrent evaluation requires a quiescent external "
           "database");
     }
-
-    // Deterministic merge: clause order, then pivot, then shard, then
-    // each slice's enumeration order — the exact order the sequential
-    // engine appends in. Dedup, counters and plan feedback all happen
-    // here on the engine thread. Feedback sums each clause's counters
-    // over its slices (a runnable clause whose windows were all empty
-    // still reports zeros, like the sequential pass).
-    size_t si = 0;
-    for (size_t ci = 0; ci < clauses.size(); ++ci) {
-      if (clauses[ci].IsFact() || !prep[ci].runnable) continue;
-      size_t n = clauses[ci].body.size();
-      std::vector<int64_t> cand(n, 0), acc(n, 0);
-      Status clause_status = Status::OK();
-      for (; si < slices.size() && slices[si].clause == ci; ++si) {
-        SliceOutcome& out = outcomes[si];
-        stats_->derivations_attempted += out.stats.derivations_attempted;
-        stats_->unsat_pruned += out.stats.unsat_pruned;
-        stats_->index_probes += out.stats.index_probes;
-        stats_->ground_rejects += out.stats.ground_rejects;
-        stats_->rename_skipped += out.stats.rename_skipped;
-        stats_->probe_intersections += out.stats.probe_intersections;
-        parallel_solver_ += out.solver;
-        for (size_t pos = 0; pos < n; ++pos) {
-          cand[pos] += out.cand[pos];
-          acc[pos] += out.acc[pos];
-        }
-        // A slice cut short by the staging budget may have stopped before
-        // derivations the sequential engine (capping on the DEDUPED view
-        // size) would still reach; if dedup then keeps the merged view
-        // under max_atoms the run would otherwise claim completeness
-        // while missing atoms — flag it truncated.
-        if (out.capped) stats_->truncated = true;
-        if (clause_status.ok() && !out.status.ok()) {
-          clause_status = out.status;
-        }
-        for (StagedAtom& staged : out.atoms) {
-          if (view_.size() >= options_.max_atoms) {
-            stats_->truncated = true;
-            return Status::OK();  // Run()'s Capped() finishes the view
-          }
-          MergeStaged(std::move(staged));
-        }
-      }
-      plans_->Feedback(clauses[ci].number, cand, acc);
-      MMV_RETURN_NOT_OK(clause_status);
-    }
     return Status::OK();
+  }
+
+  // Folds one fanned-out slice into the engine: its counters, then its
+  // staged atoms in enumeration order until the view reaches the budget.
+  Status MergeSlice(SliceOutcome* out) {
+    stats_->derivations_attempted += out->stats.derivations_attempted;
+    stats_->unsat_pruned += out->stats.unsat_pruned;
+    stats_->index_probes += out->stats.index_probes;
+    stats_->ground_rejects += out->stats.ground_rejects;
+    stats_->rename_skipped += out->stats.rename_skipped;
+    stats_->probe_intersections += out->stats.probe_intersections;
+    fan_out_solver_ += out->solver;
+    // A slice cut short by the staging budget may have stopped before
+    // derivations an inline pass (capping on the DEDUPED view size) would
+    // still reach; if dedup then keeps the merged view under max_atoms
+    // the run would otherwise claim completeness while missing atoms —
+    // flag it truncated.
+    if (out->capped) stats_->truncated = true;
+    for (StagedAtom& staged : out->atoms) {
+      if (direct_sink_.Full()) break;
+      MergeStaged(std::move(staged));
+    }
+    return out->status;
   }
 
   // Replays one staged derivation into the view: dedup exactly as AddAtom
@@ -1274,24 +1073,24 @@ class Engine {
   Solver solver_;
   VarFactory factory_;
   const bool indexed_;
-  const bool parallel_;
+  const bool fan_out_;  ///< rounds may fan out across threads
   plan::PlanCache local_plans_;  // used when no caller-shared plan cache
   plan::PlanCache* plans_;
   const plan::PlanCacheStats plan_stats_start_;  // shared-cache snapshot
 
   View view_;
   DirectSink direct_sink_;
-  ClauseRunner runner_;  // the sequential pass executor (facts + rounds)
+  ClauseRunner runner_;  // the engine's own pass executor (facts + inline)
   VarSet var_set_;       // scratch for RemapStagingVars
   std::unordered_set<CanonicalKey, CanonicalKey::Hasher> canonical_seen_;
   std::string canonical_scratch_;
 
-  // Parallel-round state.
+  std::vector<Rule> rules_;          // the program's rules, clause order
+  std::vector<RoundSlice> slices_;   // the current planned round's slices
+  // Fan-out state.
   std::map<std::tuple<size_t, size_t, int>, std::unique_ptr<SolveCache>>
-      slice_caches_;  // per (clause, pivot, shard), whole run
-  std::vector<std::shared_ptr<const plan::ClausePlan>> plans_prefetched_;
-  std::unique_ptr<MutexDcaEvaluator> locked_evaluator_;
-  SolveStats parallel_solver_;  // workers' solver counters, merge order
+      slice_caches_;  // per (rule, pivot, shard), whole run
+  SolveStats fan_out_solver_;  // workers' solver counters, merge order
 };
 
 }  // namespace
@@ -1331,13 +1130,6 @@ Result<JoinMode> ParseJoinMode(std::string_view text) {
                                  "' (expected 'naive' or 'indexed')");
 }
 
-Result<plan::PlanMode> ParsePlanMode(std::string_view text) {
-  if (text == "declared") return plan::PlanMode::kDeclared;
-  if (text == "ordered") return plan::PlanMode::kOrdered;
-  return Status::InvalidArgument("unknown plan mode '" + std::string(text) +
-                                 "' (expected 'declared' or 'ordered')");
-}
-
 Result<int> ParseThreads(std::string_view text) {
   int value = 0;
   bool valid = !text.empty() && text.size() <= 4;
@@ -1362,17 +1154,6 @@ Result<JoinMode> JoinModeFromEnv() {
   Result<JoinMode> parsed = ParseJoinMode(mode);
   if (!parsed.ok()) {
     return Status::InvalidArgument("$MMV_JOIN_MODE: " +
-                                   parsed.status().message());
-  }
-  return parsed;
-}
-
-Result<plan::PlanMode> PlanModeFromEnv() {
-  const char* mode = std::getenv("MMV_PLAN_MODE");
-  if (mode == nullptr || *mode == '\0') return plan::PlanMode::kOrdered;
-  Result<plan::PlanMode> parsed = ParsePlanMode(mode);
-  if (!parsed.ok()) {
-    return Status::InvalidArgument("$MMV_PLAN_MODE: " +
                                    parsed.status().message());
   }
   return parsed;

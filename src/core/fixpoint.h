@@ -29,7 +29,6 @@
 #include "constraint/solver.h"
 #include "core/program.h"
 #include "core/view.h"
-#include "plan/clause_plan.h"
 
 namespace mmv {
 
@@ -99,40 +98,32 @@ struct FixpointOptions {
   bool derive_facts = true;
   /// Body-join strategy; kNaive is the differential-testing oracle.
   JoinMode join_mode = JoinMode::kIndexed;
-  /// Worker threads for the per-round clause passes. 1 (default) runs the
-  /// engine exactly as before; N > 1 fans each round out along two axes:
-  /// every (clause, seminaive pivot) pass is its own task, and a pivot
-  /// whose frozen delta window is large enough (plan/partition.h) is
-  /// hash-range-split further into up to N shards — so even a single
-  /// recursive clause (one SCC, where the old per-head-group strata
-  /// degenerated to one task) parallelizes. Each task runs against the
+  /// Worker threads for the per-round clause passes. 1 (default) runs
+  /// every round inline on the calling thread; N > 1 fans a round out
+  /// along two axes: every (clause, seminaive pivot) pass is its own task,
+  /// and a pivot whose frozen delta window is large enough
+  /// (plan/partition.h) is split further into up to N shards — so even a
+  /// single recursive clause parallelizes. Each task runs against the
   /// round's read-only delta window with a private staging sink, solver
   /// and fresh-var factory; staged atoms merge once per round in (clause,
-  /// pivot, shard, enumeration) order — exactly the sequential append
+  /// pivot, shard, enumeration) order — exactly the one-thread append
   /// order — so canonical atom sets, support multisets and the derivation
   /// counters are identical to num_threads=1 whatever the thread count.
   /// (Fresh-variable NUMBERING and solver-memo hit counts may differ —
   /// the same non-contract PR-3 carved out between join modes. Truncated
   /// runs — max_atoms / max_iterations — may cut off at different atoms.)
-  /// Parallel execution requires the kIndexed planned executor;
-  /// naive-join or fallback configurations run sequentially whatever this
-  /// value says.
+  ///
+  /// Precondition for fan-out: the evaluator is null or reports
+  /// DcaEvaluator::ConcurrentReadSafe(), because workers call it without
+  /// serialization. With any other evaluator — e.g. a DomainManager with
+  /// its call cache on — every round runs on one thread, as do naive-join
+  /// and fallback configurations, whatever this value says.
   int num_threads = 1;
-  /// Clause-plan ordering strategy of the kIndexed executor. kOrdered
-  /// selectivity-orders body atoms per seminaive pivot and picks the
-  /// smallest of several ground arg-value buckets; kDeclared keeps the
-  /// written body order with first-ground probing (the PR-3 behaviour,
-  /// kept as the plan-off baseline). Derived atom sets — and, under
-  /// duplicate semantics, support multisets — are identical either way;
-  /// under kSet only the canonical atom set is order-independent (see
-  /// DupSemantics::kSet).
-  plan::PlanMode plan_mode = plan::PlanMode::kOrdered;
   /// Optional compiled-plan cache shared across engine runs. Pass one
   /// cache through a sequence of continuations / maintenance passes so
   /// each clause compiles once per program instead of once per run; the
-  /// cache revalidates against the program's identity on use. Ignored
-  /// (a run-local cache is used) when the cache's mode differs from
-  /// plan_mode. When null, the engine plans within the single run.
+  /// cache revalidates against the program's identity on use. When null,
+  /// the engine plans within the single run.
   plan::PlanCache* plan_cache = nullptr;
   /// Optional solver memo shared across engine runs (kIndexed only). Pass
   /// one cache through a sequence of ContinueFixpoint continuations so
@@ -180,14 +171,8 @@ struct FixpointStats {
                                   ///  own tasks (0 when sequential)
   int64_t partition_skipped_small = 0;  ///< shardable pivot windows left
                                         ///  whole: below the size threshold
-  int64_t evaluator_clones = 0;   ///< tasks served by the lock-free
-                                  ///  concurrent-read evaluator path
-                                  ///  instead of MutexDcaEvaluator
-  int64_t mutex_evaluator_engaged = 0;  ///< tasks that fell back to the
-                                        ///  serialized MutexDcaEvaluator
-                                        ///  wrapper (retirement-path
-                                        ///  telemetry: 0 for every
-                                        ///  read-safe evaluator)
+  int64_t evaluator_clones = 0;   ///< tasks that called the (read-safe)
+                                  ///  evaluator from a worker thread
   bool truncated = false;         ///< hit max_iterations / max_atoms
   SolveStats solver;              ///< aggregated solver counters
                                   ///  (solver.cache_hits: memo hits)
@@ -240,24 +225,17 @@ Status ContinueFixpoint(const Program& program, View* view,
 /// for.
 Result<JoinMode> ParseJoinMode(std::string_view text);
 
-/// \brief Parses a plan mode name: "declared" or "ordered".
-Result<plan::PlanMode> ParsePlanMode(std::string_view text);
-
 /// \brief Join mode from $MMV_JOIN_MODE. Unset/empty means the default
 /// (kIndexed); any other unknown value is an InvalidArgument error.
 Result<JoinMode> JoinModeFromEnv();
-
-/// \brief Plan mode from $MMV_PLAN_MODE. Unset/empty means the default
-/// (kOrdered); any other unknown value is an InvalidArgument error.
-Result<plan::PlanMode> PlanModeFromEnv();
 
 /// \brief Parses a thread count: a positive decimal integer (at most
 /// 4096). InvalidArgument on anything else — like the mode parsers, a
 /// typo must fail loudly instead of silently running single-threaded.
 Result<int> ParseThreads(std::string_view text);
 
-/// \brief Thread count from $MMV_THREADS. Unset/empty means 1 (the
-/// sequential engine); any non-numeric or non-positive value is an
+/// \brief Thread count from $MMV_THREADS. Unset/empty means 1 (every
+/// round inline); any non-numeric or non-positive value is an
 /// InvalidArgument error.
 Result<int> ThreadsFromEnv();
 

@@ -154,10 +154,10 @@ class DomainManager : public DcaEvaluator {
   /// every registered domain's evaluation path is a pure read AND the call
   /// cache is off (EvaluateAt fills call_cache_ when enabled — a write).
   /// The call counter is atomic, so it is not a disqualifier. Parallel
-  /// passes that get true here evaluate through this manager directly,
-  /// without the MutexDcaEvaluator serialization, under the single-writer
-  /// epoch contract (StateEpoch captured before the fan-out, re-checked
-  /// after, loud failure on mismatch).
+  /// passes fan out only when this is true, and then evaluate through this
+  /// manager directly under the single-writer epoch contract (StateEpoch
+  /// captured before the fan-out, re-checked after, loud failure on
+  /// mismatch); otherwise they run on one thread.
   bool ConcurrentReadSafe() const override {
     if (cache_enabled_) return false;
     for (const auto& [name, domain] : domains_) {

@@ -26,6 +26,15 @@ int SeedExtCounter(const View& view) {
   return counter;
 }
 
+// A truncated insertion continuation (max_atoms / max_iterations) left the
+// view without some consequences of the inserted atoms; maintaining past
+// it would commit and publish an incomplete view as if it were closed.
+Status TruncatedInsert() {
+  return Status::ResourceExhausted(
+      "insertion continuation truncated (max_atoms / max_iterations); the "
+      "maintained view would be incomplete");
+}
+
 // Predicates participating in any non-fact clause, as head or body atom.
 // Delete+re-insert cancellation is only sound OUTSIDE this set: a derived
 // head swaps derived coverage for an independent external support, and a
@@ -155,13 +164,11 @@ Status ApplyBatch(const Program& program, View* view,
   // BuildAdd continuations and every insert run's fixpoint flushes all
   // reuse the same per-program clause plans. A caller-provided cache
   // (FixpointOptions::plan_cache) outlives the batch instead.
-  plan::PlanCache batch_plans(options.plan_mode);
+  plan::PlanCache batch_plans;
   FixpointOptions batch_options = options;
-  // A caller cache of the wrong mode would be rejected per engine run
-  // (each falling back to its own run-local cache) — substitute the
-  // batch-local one so cross-pass sharing survives the mismatch.
-  batch_options.plan_cache = plan::PlanCache::Select(
-      batch_options.plan_cache, batch_options.plan_mode, &batch_plans);
+  if (batch_options.plan_cache == nullptr) {
+    batch_options.plan_cache = &batch_plans;
+  }
   // Epoch-gate a caller-shared solver memo: the memo survives from batch
   // to batch — view maintenance never changes what Solve sees — and is
   // flushed here exactly when the external state moved underneath it: a
@@ -230,11 +237,11 @@ Status ApplyBatch(const Program& program, View* view,
         stats->partitions_run += s.partitions_run;
         stats->partition_skipped_small += s.partition_skipped_small;
         stats->evaluator_clones += s.evaluator_clones;
-        stats->mutex_evaluator_engaged += s.mutex_evaluator_engaged;
       } else {
         InsertStats s;
         MMV_RETURN_NOT_OK(InsertBatch(program, view, requests, evaluator,
                                       batch_options, &s, ext_support_counter));
+        if (s.truncated) return TruncatedInsert();
         stats->insert_passes++;
         stats->insertions_applied += requests.size();
         stats->add_atoms += s.add_atoms;
@@ -251,7 +258,6 @@ Status ApplyBatch(const Program& program, View* view,
         stats->partitions_run += s.partitions_run;
         stats->partition_skipped_small += s.partition_skipped_small;
         stats->evaluator_clones += s.evaluator_clones;
-        stats->mutex_evaluator_engaged += s.mutex_evaluator_engaged;
       }
       i = j;
     }
@@ -324,7 +330,6 @@ BatchStats& BatchStats::operator+=(const BatchStats& other) {
   partitions_run += other.partitions_run;
   partition_skipped_small += other.partition_skipped_small;
   evaluator_clones += other.evaluator_clones;
-  mutex_evaluator_engaged += other.mutex_evaluator_engaged;
   return *this;
 }
 
@@ -358,6 +363,7 @@ Status ApplyUpdatesSequential(const Program& program, View* view,
       InsertStats s;
       MMV_RETURN_NOT_OK(InsertAtom(program, view, u.atom, evaluator, options,
                                    &s, ext_support_counter));
+      if (s.truncated) return TruncatedInsert();
       stats->insert_passes++;
       stats->insertions_applied++;
       stats->add_atoms += s.add_atoms;

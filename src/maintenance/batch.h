@@ -172,10 +172,6 @@ struct BatchStats {
   int64_t partitions_run = 0;
   int64_t partition_skipped_small = 0;
   int64_t evaluator_clones = 0;
-  int64_t mutex_evaluator_engaged = 0;  ///< parallel tasks that fell back
-                                        ///  to the serialized
-                                        ///  MutexDcaEvaluator wrapper
-                                        ///  (retirement-path telemetry)
 
   /// Field-wise sum — recovery accumulates one BatchStats per replayed
   /// burst into RecoveryInfo::replay_stats with this.
@@ -189,7 +185,9 @@ struct BatchStats {
 /// On error the view is left valid but partially maintained — and possibly
 /// emptied, if an insertion continuation failed mid-run (see
 /// ContinueFixpoint). Callers needing failure atomicity should apply the
-/// batch to a copy.
+/// batch to a copy. An insertion continuation truncated by
+/// \p options.max_atoms / max_iterations is an error too
+/// (ResourceExhausted): the burst is aborted in the log and not published.
 ///
 /// \p ext_support_counter persists external-fact support numbering across
 /// batches on the same view; when null, a fresh counter is seeded below the
@@ -235,7 +233,8 @@ Status ApplyBatch(const Program& program, View* view,
 /// \brief Replays \p updates one at a time in order (no coalescing, one
 /// StDel or insertion fixpoint per update). This is the paper's
 /// single-update regime — kept as the differential-testing oracle and the
-/// benchmark baseline for ApplyBatch.
+/// benchmark baseline for ApplyBatch. A truncated insertion fails with
+/// ResourceExhausted, as in ApplyBatch.
 Status ApplyUpdatesSequential(const Program& program, View* view,
                               const std::vector<Update>& updates,
                               DcaEvaluator* evaluator,

@@ -30,7 +30,6 @@ struct InsertStats {
   int64_t partitions_run = 0;
   int64_t partition_skipped_small = 0;
   int64_t evaluator_clones = 0;
-  int64_t mutex_evaluator_engaged = 0;
   bool truncated = false;
   SolveStats solver;             ///< BuildAdd diffing solver counters
   SolveStats unfold_solver;      ///< continuation (fixpoint) solver counters

@@ -116,10 +116,9 @@ Status DeleteStDelBatch(const Program& program, View* view,
   StDelStats local;
   if (!stats) stats = &local;
   *stats = StDelStats();
-  // Step 3 consumes compiled clause plans (for their precomputed variable
-  // lists); plan ordering is irrelevant here, so any caller cache works
-  // whatever its mode.
-  plan::PlanCache local_plans(plan::PlanMode::kDeclared);
+  // Step 3 consumes compiled clause plans only for their precomputed
+  // variable lists.
+  plan::PlanCache local_plans;
   if (plans == nullptr) plans = &local_plans;
   const int64_t plan_hits_start = plans->stats().cache_hits;
   // One solver memo per batch: step-3 lifts and the step-4 whole-view prune
@@ -196,27 +195,16 @@ Status DeleteStDelBatch(const Program& program, View* view,
   // new pairs), but with num_threads > 1 the per-parent LIFT CHECKS of one
   // pair — independent reads of snapshot state — fan out across threads,
   // and the subtractions are applied afterwards in the sequential sweep's
-  // parent order, so propagation is order-identical either way.
+  // parent order, so propagation is order-identical either way. The
+  // workers share the evaluator unserialized, so only one that vouches
+  // for concurrent pure reads allows the fan-out; the epoch check after
+  // each fan-out polices the single-writer contract that claim rests on.
   std::vector<std::pair<size_t, size_t>> parents;  // scratch, reused
   std::vector<LiftItem> lift_items;                // scratch, reused
   VarSet var_set;                                  // scratch, reused
-  // Lift checks only read external state, so an evaluator that vouches
-  // for concurrent pure reads is shared lock-free across the workers;
-  // anything else keeps the serialized MutexDcaEvaluator fallback. The
-  // epoch check after each fan-out polices the single-writer contract the
-  // lock-free claim rests on.
-  std::unique_ptr<MutexDcaEvaluator> locked_evaluator;
-  DcaEvaluator* worker_evaluator = nullptr;
-  bool evaluator_direct = false;
-  if (num_threads > 1 && evaluator != nullptr) {
-    if (evaluator->ConcurrentReadSafe()) {
-      worker_evaluator = evaluator;
-      evaluator_direct = true;
-    } else {
-      locked_evaluator = std::make_unique<MutexDcaEvaluator>(evaluator);
-      worker_evaluator = locked_evaluator.get();
-    }
-  }
+  const bool may_fan_out =
+      num_threads > 1 &&
+      (evaluator == nullptr || evaluator->ConcurrentReadSafe());
   SolveStats parallel_solver;  // lift-check counters, apply order
   for (size_t qi = 0; qi < pout.size(); ++qi) {
     Pair pair = pout[qi];  // copy: the vector grows as we iterate
@@ -235,7 +223,7 @@ Status DeleteStDelBatch(const Program& program, View* view,
     // one per item, and parent sweeps too small to amortize the staging
     // overhead stay sequential.
     int parts = 1;
-    if (num_threads > 1 && parents.size() > 1 &&
+    if (may_fan_out && parents.size() > 1 &&
         factory.issued() < kStagingVarBase / 2) {
       parts = plan::PartitionCountFor(parents.size(), num_threads,
                                       /*min_per_shard=*/2);
@@ -258,11 +246,8 @@ Status DeleteStDelBatch(const Program& program, View* view,
                                       plans->PlanFor(program, *clause)});
       }
       stats->partitions_run += parts;
-      if (evaluator_direct) {
+      if (evaluator != nullptr) {
         stats->evaluator_clones += static_cast<int64_t>(lift_items.size());
-      } else if (worker_evaluator != nullptr) {
-        stats->mutex_evaluator_engaged +=
-            static_cast<int64_t>(lift_items.size());
       }
       int64_t epoch_before =
           evaluator != nullptr ? evaluator->StateEpoch() : 0;
@@ -291,7 +276,7 @@ Status DeleteStDelBatch(const Program& program, View* view,
               item_options.cache = nullptr;  // never share a memo across
                                              // threads (not synchronized)
               item_options.reject_cache = nullptr;  // ditto
-              Solver item_solver(worker_evaluator, item_options);
+              Solver item_solver(evaluator, item_options);
               SolveOutcome o = item_solver.Solve(lifted);  // condition (c)
               out.solver = item_solver.stats();
               if (o == SolveOutcome::kError) {
@@ -303,7 +288,7 @@ Status DeleteStDelBatch(const Program& program, View* view,
               out.lifted = std::move(lifted);
             }
           });
-      // The lock-free path reads the external state unguarded; a writer
+      // The workers read the external state unguarded; a writer
       // slipping in mid-sweep would have produced silently inconsistent
       // lift verdicts. Fail loudly instead of applying them.
       if (evaluator != nullptr && evaluator->StateEpoch() != epoch_before) {

@@ -41,11 +41,8 @@ struct StDelStats {
   int64_t partitions_run = 0;   ///< lift-item shards executed as tasks
   int64_t partition_skipped_small = 0;  ///< parent sweeps left sequential:
                                         ///  below the shard threshold
-  int64_t evaluator_clones = 0;  ///< lift checks served by the lock-free
-                                 ///  concurrent-read evaluator path
-  int64_t mutex_evaluator_engaged = 0;  ///< lift checks that fell back to
-                                        ///  the serialized
-                                        ///  MutexDcaEvaluator wrapper
+  int64_t evaluator_clones = 0;  ///< lift checks that called the
+                                 ///  (read-safe) evaluator from a worker
   SolveStats solver;
 
   /// \brief Replacements generated by support propagation alone.
@@ -88,7 +85,10 @@ Status DeleteStDel(const Program& program, View* view,
 /// order the single-threaded sweep uses. Propagation order, replacement
 /// counts and the resulting instance sets are identical to num_threads=1;
 /// only fresh-variable numbering inside surviving constraints (canonical
-/// forms unchanged) and solver-memo hit counts differ.
+/// forms unchanged) and solver-memo hit counts differ. The workers call
+/// \p evaluator unserialized, so the fan-out requires it to be null or
+/// DcaEvaluator::ConcurrentReadSafe(); any other evaluator runs step 3 on
+/// one thread.
 Status DeleteStDelBatch(const Program& program, View* view,
                         const std::vector<UpdateAtom>& requests,
                         DcaEvaluator* evaluator,

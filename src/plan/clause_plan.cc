@@ -33,8 +33,7 @@ void MarkSlots(const std::vector<PlanArg>& pattern, std::vector<char>* bound) {
 
 // Probe positions of `pattern` under the already-bound slot set: every
 // constant, plus every variable position whose slot is maybe-bound.
-// Ascending position order — the kDeclared executor takes the FIRST
-// runtime-ground entry, matching the PR-3 scan.
+// Ascending position order.
 std::vector<uint16_t> ProbePositions(const std::vector<PlanArg>& pattern,
                                      const std::vector<char>& bound) {
   size_t count = 0;
@@ -65,48 +64,44 @@ struct OrderScratch {
   std::vector<size_t> sequence;
 };
 
-PivotOrder BuildOrder(const ClausePlan& plan, size_t pivot, PlanMode mode,
+PivotOrder BuildOrder(const ClausePlan& plan, size_t pivot,
                       const std::vector<double>* accept_ratio,
                       OrderScratch* scratch) {
   size_t n = plan.body.size();
   PivotOrder order;
   order.steps.reserve(n);
   std::vector<char>& bound = scratch->bound;
+  std::vector<char>& placed = scratch->placed;
   std::vector<size_t>& sequence = scratch->sequence;
   bound.assign(static_cast<size_t>(plan.num_slots), 0);
+  placed.assign(n, 0);
   sequence.clear();
 
-  if (mode == PlanMode::kDeclared) {
-    for (size_t i = 0; i < n; ++i) sequence.push_back(i);
-  } else {
-    // Pivot first: its candidate window is the round's delta, the one
-    // window known to be small before any statistics exist.
-    std::vector<char>& placed = scratch->placed;
-    placed.assign(n, 0);
-    sequence.push_back(pivot);
-    placed[pivot] = 1;
-    MarkSlots(plan.body[pivot], &bound);
-    while (sequence.size() < n) {
-      size_t best = n;
-      int best_score = -1;
-      double best_ratio = 0;
-      for (size_t i = 0; i < n; ++i) {
-        if (placed[i]) continue;
-        int score = GroundScore(plan.body[i], bound);
-        double ratio = accept_ratio != nullptr ? (*accept_ratio)[i] : 1.0;
-        if (best == n || score > best_score ||
-            (score == best_score && ratio < best_ratio)) {
-          best = i;
-          best_score = score;
-          best_ratio = ratio;
-        }
+  // Pivot first: its candidate window is the round's delta, the one
+  // window known to be small before any statistics exist.
+  sequence.push_back(pivot);
+  placed[pivot] = 1;
+  MarkSlots(plan.body[pivot], &bound);
+  while (sequence.size() < n) {
+    size_t best = n;
+    int best_score = -1;
+    double best_ratio = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (placed[i]) continue;
+      int score = GroundScore(plan.body[i], bound);
+      double ratio = accept_ratio != nullptr ? (*accept_ratio)[i] : 1.0;
+      if (best == n || score > best_score ||
+          (score == best_score && ratio < best_ratio)) {
+        best = i;
+        best_score = score;
+        best_ratio = ratio;
       }
-      sequence.push_back(best);
-      placed[best] = 1;
-      MarkSlots(plan.body[best], &bound);
     }
-    bound.assign(static_cast<size_t>(plan.num_slots), 0);
+    sequence.push_back(best);
+    placed[best] = 1;
+    MarkSlots(plan.body[best], &bound);
   }
+  bound.assign(static_cast<size_t>(plan.num_slots), 0);
 
   for (size_t i = 0; i < n; ++i) {
     size_t pos = sequence[i];
@@ -122,12 +117,11 @@ PivotOrder BuildOrder(const ClausePlan& plan, size_t pivot, PlanMode mode,
 
 }  // namespace
 
-ClausePlan CompileClause(const Clause& clause, PlanMode mode,
+ClausePlan CompileClause(const Clause& clause,
                          const std::vector<double>* accept_ratio) {
   ClausePlan plan;
   plan.clause_number = clause.number;
   plan.constraint_true = clause.constraint.is_true();
-  plan.multi_probe = mode == PlanMode::kOrdered;
   plan.clause_vars = clause.Variables();
 
   // Slot numbering follows DECLARED body order (then head), so slots are
@@ -169,14 +163,9 @@ ClausePlan CompileClause(const Clause& clause, PlanMode mode,
   plan.num_slots = static_cast<int>(slots.size());
 
   OrderScratch scratch;
-  // kDeclared keeps the written order whatever the pivot, so one shared
-  // PivotOrder serves every pivot (ClausePlan::order()).
-  size_t order_count = mode == PlanMode::kDeclared && !plan.body.empty()
-                           ? 1
-                           : plan.body.size();
-  plan.orders.reserve(order_count);
-  for (size_t pivot = 0; pivot < order_count; ++pivot) {
-    PivotOrder order = BuildOrder(plan, pivot, mode, accept_ratio, &scratch);
+  plan.orders.reserve(plan.body.size());
+  for (size_t pivot = 0; pivot < plan.body.size(); ++pivot) {
+    PivotOrder order = BuildOrder(plan, pivot, accept_ratio, &scratch);
     plan.reordered = plan.reordered || order.reordered;
     plan.orders.push_back(std::move(order));
   }

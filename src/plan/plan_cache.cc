@@ -57,7 +57,7 @@ std::shared_ptr<const ClausePlan> PlanCache::PlanFor(const Program& program,
   }
   if (inserted) {
     stats_.compiles++;
-    ClausePlan plan = CompileClause(clause, mode_);
+    ClausePlan plan = CompileClause(clause);
     if (plan.reordered) stats_.reorders++;
     entry.plan = std::make_shared<const ClausePlan>(std::move(plan));
     return entry.plan;
@@ -72,7 +72,7 @@ std::shared_ptr<const ClausePlan> PlanCache::PlanFor(const Program& program,
   obs.since_compile = 0;
   std::vector<double> ratios = AcceptRatios(clause.number, clause.body.size());
   stats_.compiles++;
-  ClausePlan plan = CompileClause(clause, mode_, &ratios);
+  ClausePlan plan = CompileClause(clause, &ratios);
   if (plan.reordered) stats_.reorders++;
   if (SameOrders(plan, *entry.plan)) {
     if (obs.threshold <= kMaxRecompileThreshold / 4) obs.threshold *= 4;
@@ -99,7 +99,6 @@ std::shared_ptr<const StrataInfo> PlanCache::StrataFor(
 void PlanCache::Feedback(int clause_number,
                          const std::vector<int64_t>& candidates,
                          const std::vector<int64_t>& accepted) {
-  if (mode_ == PlanMode::kDeclared) return;  // nothing to refine
   auto it = plans_.find(clause_number);
   if (it == plans_.end()) return;
   Observed& o = observed_[clause_number];

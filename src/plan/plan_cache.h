@@ -22,7 +22,7 @@
 // Under SET semantics the canonical atom set is likewise order-independent,
 // but the representative support retained for a deduped atom follows
 // enumeration order (DupSemantics::kSet) — for bit-reproducible
-// set-semantics supports use PlanMode::kDeclared or a fresh cache per run.
+// set-semantics supports use a fresh cache per run.
 
 #ifndef MMV_PLAN_PLAN_CACHE_H_
 #define MMV_PLAN_PLAN_CACHE_H_
@@ -61,20 +61,6 @@ class PlanCache {
   /// to near-zero recompile overhead.
   static constexpr int64_t kRecompileCandidates = 256;
   static constexpr int64_t kMaxRecompileThreshold = int64_t{1} << 40;
-
-  explicit PlanCache(PlanMode mode = PlanMode::kOrdered) : mode_(mode) {}
-
-  PlanMode mode() const { return mode_; }
-
-  /// \brief Resolves a caller-shared cache against a mode requirement: the
-  /// shared cache when it exists and compiles \p mode plans, else
-  /// \p fallback (typically a run- or batch-local cache built with \p mode).
-  /// The one mode-mismatch policy for every layer that threads a cache —
-  /// engine runs, insertion batches, whole-batch maintenance.
-  static PlanCache* Select(PlanCache* shared, PlanMode mode,
-                           PlanCache* fallback) {
-    return shared != nullptr && shared->mode() == mode ? shared : fallback;
-  }
 
   /// \brief The plan for \p clause (which must belong to \p program),
   /// compiling on first use and recompiling when accumulated feedback
@@ -125,7 +111,6 @@ class PlanCache {
   /// Flushes the cache when \p program is not the one it was filled from.
   void Revalidate(const Program& program);
 
-  PlanMode mode_;
   uint64_t program_id_ = 0;
   bool have_program_ = false;
   std::unordered_map<int, Entry> plans_;

@@ -8,6 +8,9 @@
 #include <set>
 #include <string>
 
+#include "core/snapshot.h"
+#include "durability/durable_log.h"
+#include "durability/fs.h"
 #include "maintenance/batch.h"
 #include "test_util.h"
 #include "workload/generators.h"
@@ -411,6 +414,66 @@ TEST(BatchTest, FreshCounterSeedsBelowNestedExternals) {
       EXPECT_LT(a.support.clause(), -5);
     }
   }
+}
+
+// Regression: an insertion continuation cut short by max_atoms used to be
+// swallowed — ApplyBatch returned OK, committed the burst to the log and
+// published an epoch holding a fraction of the closure. The truncation
+// must fail the batch before the commit point instead.
+TEST(BatchTest, TruncatedInsertionFailsBeforeCommitAndPublication) {
+  TestWorld w = TestWorld::Make();
+  Program p = ParseOrDie(R"(
+    e(X, Y) <- X = 0 & Y = 1.
+    e(X, Y) <- X = 1 & Y = 2.
+    tc(X, Y) <- true || e(X, Y).
+    tc(X, Z) <- true || tc(X, Y), e(Y, Z).
+  )");
+  View live = MaterializeOrDie(p, w.domains.get());
+  ASSERT_EQ(live.size(), 5u);  // 2 edges + their 3-pair closure
+
+  SnapshotStore store;
+  store.Publish(live);  // epoch 1
+  durability::MemFs fs;
+  std::unique_ptr<durability::DurableLog> log = Unwrap(
+      durability::DurableLog::Create(&fs, "state", p, live, store.epoch(),
+                                     /*ext_counter=*/0));
+  const int64_t records_before = log->wal_records();
+  const uint64_t wal_bytes_before = log->wal_end_offset();
+
+  // A 6-edge chain extending 2 -> 8: the full closure has 44 atoms, far
+  // over the 7-atom budget.
+  std::vector<maint::Update> burst;
+  for (int i = 2; i < 8; ++i) {
+    burst.push_back(Ins("e(X, Y) <- X = " + std::to_string(i) +
+                            " & Y = " + std::to_string(i + 1) + ".",
+                        &p));
+  }
+  FixpointOptions opts;
+  opts.max_atoms = 7;
+  maint::BatchStats stats;
+  Status s = maint::ApplyBatch(p, &live, burst, w.domains.get(), opts,
+                               &stats, log->ext_counter(), &store,
+                               log.get());
+  EXPECT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kResourceExhausted) << s.ToString();
+  EXPECT_EQ(stats.epochs_published, 0);
+  EXPECT_EQ(store.epoch(), 1u);
+  EXPECT_EQ(log->wal_records(), records_before);
+  EXPECT_EQ(log->wal_end_offset(), wal_bytes_before);
+  EXPECT_EQ(log->epoch(), 1u);
+
+  // The one-at-a-time oracle reports the same truncation.
+  View seq = MaterializeOrDie(p, w.domains.get());
+  EXPECT_EQ(maint::ApplyUpdatesSequential(p, &seq, burst, w.domains.get(),
+                                          opts)
+                .code(),
+            StatusCode::kResourceExhausted);
+
+  // With room for the closure the same burst applies and publishes.
+  View roomy = MaterializeOrDie(p, w.domains.get());
+  ASSERT_TRUE(
+      maint::ApplyBatch(p, &roomy, burst, w.domains.get(), {}, &stats).ok());
+  EXPECT_EQ(roomy.size(), 44u);
 }
 
 // ---------------------------------------------------------------------------

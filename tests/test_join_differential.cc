@@ -63,51 +63,40 @@ workload::RandomProgramOptions RandomOptions(Rng* rng) {
   return o;
 }
 
-// Materializes under the naive oracle, the indexed join with DECLARED
-// body order (plan-off, the PR-3 pipeline) and the indexed join with
-// selectivity-ORDERED plans, and asserts three-way view equality plus the
-// sharp per-run invariants the equivalence argument predicts: identical
+// Materializes under the naive oracle and the indexed join with
+// selectivity-ORDERED plans, and asserts view equality plus the sharp
+// per-run invariants the equivalence argument predicts: identical
 // created-atom and suppressed-duplicate counts (rejected candidates are
 // exactly tuples the oracle prunes as unsatisfiable, never ones it
 // dedups, whatever the enumeration order).
 void ExpectModesAgree(const Program& p, DcaEvaluator* eval,
                       FixpointOptions opts, const std::string& trace,
                       FixpointStats* indexed_stats_out = nullptr) {
-  FixpointStats naive_stats, declared_stats, ordered_stats;
+  FixpointStats naive_stats, ordered_stats;
   opts.max_atoms = 50'000;  // terminate runaway joins; flagged below
   opts.join_mode = JoinMode::kNaive;
   View naive = Unwrap(Materialize(p, eval, opts, &naive_stats));
   opts.join_mode = JoinMode::kIndexed;
-  opts.plan_mode = plan::PlanMode::kDeclared;
-  View declared = Unwrap(Materialize(p, eval, opts, &declared_stats));
-  opts.plan_mode = plan::PlanMode::kOrdered;
   View ordered = Unwrap(Materialize(p, eval, opts, &ordered_stats));
   EXPECT_FALSE(naive_stats.truncated) << "generator produced a blow-up\n"
                                       << trace;
 
-  EXPECT_EQ(CanonicalAtoms(naive), CanonicalAtoms(declared)) << trace;
   EXPECT_EQ(CanonicalAtoms(naive), CanonicalAtoms(ordered)) << trace;
-  EXPECT_EQ(Supports(naive), Supports(declared)) << trace;
   // Support multisets are only contractual under DUPLICATE semantics
   // (every derivation kept — order-independent). Set semantics retains
   // ONE representative derivation per canonical atom, and which one wins
-  // follows enumeration order: declared order enumerates combinations
-  // exactly like the oracle, but selectivity-ordered plans legitimately
-  // meet a different derivation first.
+  // follows enumeration order: selectivity-ordered plans legitimately
+  // meet a different derivation first than the oracle.
   if (opts.semantics == DupSemantics::kDuplicate) {
     EXPECT_EQ(Supports(naive), Supports(ordered)) << trace;
   }
-  for (const FixpointStats* s : {&declared_stats, &ordered_stats}) {
-    EXPECT_EQ(naive_stats.atoms_created, s->atoms_created) << trace;
-    EXPECT_EQ(naive_stats.duplicates_suppressed, s->duplicates_suppressed)
-        << trace;
-  }
+  EXPECT_EQ(naive_stats.atoms_created, ordered_stats.atoms_created)
+      << trace;
+  EXPECT_EQ(naive_stats.duplicates_suppressed,
+            ordered_stats.duplicates_suppressed)
+      << trace;
   EXPECT_EQ(naive_stats.index_probes, 0) << "oracle must not probe";
   EXPECT_EQ(naive_stats.plan_reorders, 0) << "oracle must not plan";
-  EXPECT_EQ(declared_stats.plan_reorders, 0)
-      << "declared plans must keep the written order";
-  EXPECT_EQ(declared_stats.probe_intersections, 0)
-      << "declared plans must probe the first ground position only";
 
   // The $MMV_SOLVER_FASTPATH sweep: replaying the ordered run with the
   // solver fast path off (the slow-path oracle) must change NOTHING about
@@ -307,9 +296,9 @@ TEST(JoinDifferential, TransitiveClosureJoinsAgreeAndProbe) {
 }
 
 // A reciprocal join over a star graph: sym(X,Y) <- e(X,Y), e(Y,X) with
-// edges e(j,0) and e(0,j). Probing position 0 of the second body atom
-// leaves position 1 to check against the already-bound X — the regime
-// where incremental unification rejects candidates mid-join.
+// edges e(j,0) and e(0,j). Probing only position 0 of the second body
+// atom would leave position 1 to reject mid-join against the already-bound
+// X; weighing both ground positions enumerates the exact bucket instead.
 TEST(JoinDifferential, ReciprocalStarJoinGroundRejects) {
   TestWorld w = TestWorld::Make();
   Program p;
@@ -339,22 +328,12 @@ TEST(JoinDifferential, ReciprocalStarJoinGroundRejects) {
   FixpointStats stats;
   ExpectModesAgree(p, w.domains.get(), FixpointOptions(), "reciprocal star",
                    &stats);
-  // Under ordered plans BOTH positions of the second body atom are bound, so
-  // the multi-position probe picks the smaller (exact) bucket and the
-  // mid-join rejection regime moves to the plan-off path: declared order
-  // probes position 0 and must reject the mismatches position 1 exposes.
+  // BOTH positions of the second body atom are bound, so the
+  // multi-position probe weighs two buckets and enumerates the exact one:
+  // no candidate survives to a mid-join ground mismatch.
   EXPECT_GT(stats.probe_intersections, 0);
   EXPECT_GT(stats.index_probes, 0);
-  {
-    FixpointOptions off;
-    off.plan_mode = plan::PlanMode::kDeclared;
-    FixpointStats off_stats;
-    View v = Unwrap(Materialize(p, w.domains.get(), off, &off_stats));
-    EXPECT_GT(off_stats.ground_rejects, 0);
-    EXPECT_EQ(off_stats.probe_intersections, 0);
-    // The ordered plan's exact bucket visits strictly fewer candidates.
-    EXPECT_LT(stats.ground_rejects, off_stats.ground_rejects);
-  }
+  EXPECT_EQ(stats.ground_rejects, 0);
   // Every reciprocal pair must be found: sym(j,0) and sym(0,j) for each j.
   FixpointOptions opts;
   View v = Unwrap(Materialize(p, w.domains.get(), opts));
@@ -500,12 +479,11 @@ void RunContinuationDifferential(DupSemantics semantics, uint64_t seed_base) {
       requests.push_back(std::move(req));
     }
 
-    auto run = [&](JoinMode mode, plan::PlanMode plan_mode, int threads,
-                   maint::InsertStats* stats, bool fastpath = true) {
+    auto run = [&](JoinMode mode, int threads, maint::InsertStats* stats,
+                   bool fastpath = true) {
       FixpointOptions opts;
       opts.semantics = semantics;
       opts.join_mode = mode;
-      opts.plan_mode = plan_mode;
       opts.num_threads = threads;
       opts.solver.fastpath = fastpath;
       View v = Unwrap(Materialize(p, w.domains.get(), opts));
@@ -515,19 +493,12 @@ void RunContinuationDifferential(DupSemantics semantics, uint64_t seed_base) {
       EXPECT_TRUE(s.ok()) << s.ToString();
       return v;
     };
-    View naive = run(JoinMode::kNaive, plan::PlanMode::kOrdered, 1, nullptr);
-    View declared =
-        run(JoinMode::kIndexed, plan::PlanMode::kDeclared, 1, nullptr);
+    View naive = run(JoinMode::kNaive, 1, nullptr);
     maint::InsertStats seq_stats;
-    View ordered =
-        run(JoinMode::kIndexed, plan::PlanMode::kOrdered, 1, &seq_stats);
-    EXPECT_EQ(CanonicalAtoms(naive), CanonicalAtoms(declared))
-        << "seed " << seed << "\n"
-        << p.ToString();
+    View ordered = run(JoinMode::kIndexed, 1, &seq_stats);
     EXPECT_EQ(CanonicalAtoms(naive), CanonicalAtoms(ordered))
         << "seed " << seed << "\n"
         << p.ToString();
-    EXPECT_EQ(Supports(naive), Supports(declared)) << "seed " << seed;
     if (semantics == DupSemantics::kDuplicate) {  // see ExpectModesAgree
       EXPECT_EQ(Supports(naive), Supports(ordered)) << "seed " << seed;
     }
@@ -536,8 +507,8 @@ void RunContinuationDifferential(DupSemantics semantics, uint64_t seed_base) {
     // prune what the slow path proves unsatisfiable, so the maintained
     // view, supports and insertion counters are byte-identical.
     maint::InsertStats fp_off_stats;
-    View fp_off = run(JoinMode::kIndexed, plan::PlanMode::kOrdered, 1,
-                      &fp_off_stats, /*fastpath=*/false);
+    View fp_off = run(JoinMode::kIndexed, 1, &fp_off_stats,
+                      /*fastpath=*/false);
     EXPECT_EQ(CanonicalAtoms(ordered), CanonicalAtoms(fp_off))
         << "seed " << seed << " (fastpath off)\n"
         << p.ToString();
@@ -558,9 +529,7 @@ void RunContinuationDifferential(DupSemantics semantics, uint64_t seed_base) {
     // counters must match the single-threaded run exactly.
     for (int threads : ThreadSweep()) {
       maint::InsertStats par_stats;
-      View parallel =
-          run(JoinMode::kIndexed, plan::PlanMode::kOrdered, threads,
-              &par_stats);
+      View parallel = run(JoinMode::kIndexed, threads, &par_stats);
       EXPECT_EQ(CanonicalAtoms(ordered), CanonicalAtoms(parallel))
           << "seed " << seed << " num_threads " << threads << "\n"
           << p.ToString();

@@ -36,7 +36,7 @@ TEST(ClausePlanTest, PivotRunsFirstThenBoundAtoms) {
   // chain (each next atom shares a variable with an already-run one).
   Program p = ParseOrDie("h(X, Z) <- true || a(X), b(X, Y), c(Y, Z).");
   const Clause& c = p.clauses()[0];
-  plan::ClausePlan plan = plan::CompileClause(c, plan::PlanMode::kOrdered);
+  plan::ClausePlan plan = plan::CompileClause(c);
   EXPECT_TRUE(plan.reordered);
   EXPECT_EQ(Order(plan, 0), (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(Order(plan, 1), (std::vector<int>{1, 0, 2}));  // a, c tie: decl
@@ -49,26 +49,20 @@ TEST(ClausePlanTest, ConstantsOutweighBoundVariables) {
   // (score 1).
   Program p = ParseOrDie("h(X, Y) <- true || p(X, Y), q(X), r(5, Y).");
   plan::ClausePlan plan =
-      plan::CompileClause(p.clauses()[0], plan::PlanMode::kOrdered);
+      plan::CompileClause(p.clauses()[0]);
   EXPECT_EQ(Order(plan, 0), (std::vector<int>{0, 2, 1}));
 }
 
-TEST(ClausePlanTest, DeclaredModeKeepsWrittenOrder) {
-  Program p = ParseOrDie("h(X, Z) <- true || a(X), b(X, Y), c(Y, Z).");
-  plan::ClausePlan plan =
-      plan::CompileClause(p.clauses()[0], plan::PlanMode::kDeclared);
-  EXPECT_FALSE(plan.reordered);
-  EXPECT_FALSE(plan.multi_probe);
-  for (size_t pivot = 0; pivot < 3; ++pivot) {
-    EXPECT_EQ(Order(plan, pivot), (std::vector<int>{0, 1, 2}));
+TEST(ClausePlanTest, EveryPivotOrderStartsAtItsPivot) {
+  // The slice executor relies on this: depth 0 of pivot k's order is the
+  // pivot's own delta window, so a large window can be sharded by
+  // splitting its depth-0 candidate sequence.
+  Program p = ParseOrDie("h(X, Z) <- true || a(X), b(X, Y), c(Y, Z), d(Z).");
+  plan::ClausePlan plan = plan::CompileClause(p.clauses()[0]);
+  ASSERT_EQ(plan.orders.size(), 4u);
+  for (size_t pivot = 0; pivot < 4; ++pivot) {
+    EXPECT_EQ(plan.order(pivot).steps[0].decl_pos, pivot);
   }
-  // Every pivot runs the identity order, so the plan carries ONE shared
-  // PivotOrder (the old layout duplicated it per pivot); ordered plans
-  // still carry one per pivot.
-  EXPECT_EQ(plan.orders.size(), 1u);
-  EXPECT_EQ(plan::CompileClause(p.clauses()[0], plan::PlanMode::kOrdered)
-                .orders.size(),
-            3u);
 }
 
 TEST(ClausePlanTest, ProbePositionsCoverConstantsAndBoundSlots) {
@@ -76,7 +70,7 @@ TEST(ClausePlanTest, ProbePositionsCoverConstantsAndBoundSlots) {
   // positions are probe candidates — X is bound by wide, 7 is a constant.
   Program p = ParseOrDie("h(X) <- true || wide(X, Y), sel(X, 7).");
   plan::ClausePlan plan =
-      plan::CompileClause(p.clauses()[0], plan::PlanMode::kOrdered);
+      plan::CompileClause(p.clauses()[0]);
   const plan::PlanStep& second = plan.orders[0].steps[1];
   EXPECT_EQ(second.decl_pos, 1);
   EXPECT_EQ(second.probe_positions, (std::vector<uint16_t>{0, 1}));
@@ -88,7 +82,7 @@ TEST(ClausePlanTest, ClauseVarsMatchVariablesAndRenameWithAgrees) {
   Program p =
       ParseOrDie("h(X, Z) <- X != 3 || a(X), b(X, Y), c(Y, Z).");
   const Clause& c = p.clauses()[0];
-  plan::ClausePlan plan = plan::CompileClause(c, plan::PlanMode::kOrdered);
+  plan::ClausePlan plan = plan::CompileClause(c);
   EXPECT_EQ(plan.clause_vars, c.Variables());
   VarFactory f1, f2;
   EXPECT_EQ(c.Rename(&f1).ToString(),
@@ -102,7 +96,7 @@ TEST(PlanCacheTest, CachesPerClauseAndCountsHits) {
   Program p = ParseOrDie(
       "h(X) <- true || a(X), b(X).\n"
       "g(X) <- true || h(X), a(X).");
-  plan::PlanCache cache(plan::PlanMode::kOrdered);
+  plan::PlanCache cache;
   auto plan1 = cache.PlanFor(p, p.clauses()[0]);
   auto plan1_again = cache.PlanFor(p, p.clauses()[0]);
   EXPECT_EQ(plan1.get(), plan1_again.get());
@@ -136,7 +130,7 @@ TEST(PlanCacheTest, AdaptiveFeedbackRefinesTieBreaks) {
   // flip the tie toward c once enough evidence accumulates.
   Program p = ParseOrDie("h(X) <- true || a(X), b(X), c(X).");
   const Clause& c = p.clauses()[0];
-  plan::PlanCache cache(plan::PlanMode::kOrdered);
+  plan::PlanCache cache;
   auto before = cache.PlanFor(p, c);
   EXPECT_EQ(Order(*before, 0), (std::vector<int>{0, 1, 2}));
 
@@ -156,7 +150,7 @@ TEST(PlanCacheTest, UnchangedRecompilesBackOff) {
   // threshold — settled clauses stop paying for recompiles.
   Program p = ParseOrDie("h(X) <- true || a(X), b(X).");
   const Clause& c = p.clauses()[0];
-  plan::PlanCache cache(plan::PlanMode::kOrdered);
+  plan::PlanCache cache;
   cache.PlanFor(p, c);
   cache.Feedback(c.number, {500, 500}, {500, 500});  // >= 256: dirty
   cache.PlanFor(p, c);  // recompile, order unchanged -> threshold x4
@@ -167,17 +161,6 @@ TEST(PlanCacheTest, UnchangedRecompilesBackOff) {
   EXPECT_EQ(cache.stats().compiles, compiles);
 }
 
-TEST(PlanCacheTest, DeclaredModeIgnoresFeedback) {
-  Program p = ParseOrDie("h(X) <- true || a(X), b(X), c(X).");
-  const Clause& c = p.clauses()[0];
-  plan::PlanCache cache(plan::PlanMode::kDeclared);
-  auto before = cache.PlanFor(p, c);
-  cache.Feedback(c.number, {1000, 1000, 1000}, {1000, 1000, 10});
-  auto after = cache.PlanFor(p, c);
-  EXPECT_EQ(before.get(), after.get());
-  EXPECT_EQ(cache.stats().refinements, 0);
-}
-
 // ---- engine integration ---------------------------------------------------
 
 // A shared plan cache threaded through FixpointOptions survives across
@@ -186,7 +169,7 @@ TEST(PlanCacheTest, DeclaredModeIgnoresFeedback) {
 TEST(PlanCacheTest, SharedAcrossEngineRuns) {
   TestWorld w = TestWorld::Make();
   Program p = workload::MakeGuardedChain(4, 4);
-  plan::PlanCache shared(plan::PlanMode::kOrdered);
+  plan::PlanCache shared;
   FixpointOptions opts;
   opts.plan_cache = &shared;
   FixpointStats first, second;
@@ -197,20 +180,6 @@ TEST(PlanCacheTest, SharedAcrossEngineRuns) {
   EXPECT_EQ(shared.stats().compiles, compiles_after_first)
       << "second run must not recompile";
   EXPECT_GT(second.plan_cache_hits, first.plan_cache_hits);
-}
-
-// A cache whose mode differs from the run's plan_mode is ignored (the
-// engine falls back to a run-local cache) instead of executing plans of
-// the wrong shape.
-TEST(PlanCacheTest, ModeMismatchedCacheIsNotUsed) {
-  TestWorld w = TestWorld::Make();
-  Program p = workload::MakeGuardedChain(3, 3);
-  plan::PlanCache declared_cache(plan::PlanMode::kDeclared);
-  FixpointOptions opts;
-  opts.plan_mode = plan::PlanMode::kOrdered;
-  opts.plan_cache = &declared_cache;
-  Unwrap(Materialize(p, w.domains.get(), opts));
-  EXPECT_EQ(declared_cache.size(), 0u);
 }
 
 // ---- epoch-tagged solver memo --------------------------------------------
@@ -342,7 +311,7 @@ TEST(PlanCacheTest, SharedAcrossMaintenanceBatches) {
   TestWorld w = TestWorld::Make();
   Program p = workload::MakeChain(4, 6);
   FixpointOptions opts;
-  plan::PlanCache shared(opts.plan_mode);
+  plan::PlanCache shared;
   opts.plan_cache = &shared;
   View v = Unwrap(Materialize(p, w.domains.get(), opts));
   int ext = 0;
@@ -377,11 +346,6 @@ TEST(EngineOptionsTest, ParseModesAcceptKnownAndRejectUnknown) {
   EXPECT_EQ(*ParseJoinMode("indexed"), JoinMode::kIndexed);
   EXPECT_FALSE(ParseJoinMode("fast").ok());
   EXPECT_FALSE(ParseJoinMode("NAIVE").ok());
-
-  EXPECT_EQ(*ParsePlanMode("declared"), plan::PlanMode::kDeclared);
-  EXPECT_EQ(*ParsePlanMode("ordered"), plan::PlanMode::kOrdered);
-  EXPECT_FALSE(ParsePlanMode("on").ok());
-  EXPECT_FALSE(ParsePlanMode("off").ok());
 }
 
 TEST(EngineOptionsTest, EnvParsingFailsLoudlyOnUnknownValues) {
@@ -391,13 +355,6 @@ TEST(EngineOptionsTest, EnvParsingFailsLoudlyOnUnknownValues) {
   EXPECT_EQ(*JoinModeFromEnv(), JoinMode::kNaive);
   ASSERT_EQ(unsetenv("MMV_JOIN_MODE"), 0);
   EXPECT_EQ(*JoinModeFromEnv(), JoinMode::kIndexed);  // default
-
-  ASSERT_EQ(setenv("MMV_PLAN_MODE", "reordered", 1), 0);
-  EXPECT_FALSE(PlanModeFromEnv().ok());
-  ASSERT_EQ(setenv("MMV_PLAN_MODE", "declared", 1), 0);
-  EXPECT_EQ(*PlanModeFromEnv(), plan::PlanMode::kDeclared);
-  ASSERT_EQ(unsetenv("MMV_PLAN_MODE"), 0);
-  EXPECT_EQ(*PlanModeFromEnv(), plan::PlanMode::kOrdered);  // default
 }
 
 }  // namespace

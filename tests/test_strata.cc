@@ -495,6 +495,110 @@ TEST(ParallelStrataTest, ParallelStepThreeMatchesSequential) {
   }
 }
 
+// A stateful evaluator that does not vouch for concurrent reads: a plain,
+// unsynchronized call counter in front of the real domains. Parallel
+// passes call evaluators unserialized, so this one must keep every pass
+// on the engine thread whatever num_threads says (a racing increment
+// would also be TSan's to report).
+class CountingEvaluator : public DcaEvaluator {
+ public:
+  explicit CountingEvaluator(DcaEvaluator* inner) : inner_(inner) {}
+
+  Result<DcaResult> Evaluate(const std::string& domain,
+                             const std::string& function,
+                             const std::vector<Value>& args) override {
+    ++calls_;
+    return inner_->Evaluate(domain, function, args);
+  }
+  int64_t StateEpoch() const override { return inner_->StateEpoch(); }
+
+  int64_t calls() const { return calls_; }
+
+ private:
+  DcaEvaluator* inner_;
+  int64_t calls_ = 0;
+};
+
+// Fan-out requires a read-safe evaluator. With one that is not, the
+// star's sharded fixpoint rounds, its insertion continuation and the
+// step-3 lift sweep of a hub-edge deletion all run on one thread at
+// num_threads = 8: nothing is partitioned, no worker touches the
+// evaluator, and atoms, supports, work-product counters — and the
+// evaluator's own call count — equal the 1-thread run.
+TEST(ParallelStrataTest, NonReadSafeEvaluatorRunsOnOneThread) {
+  TestWorld w = TestWorld::Make();
+  std::vector<std::pair<int, int>> edges;
+  for (int j = 2; j <= 301; ++j) edges.push_back({j, 0});
+  edges.push_back({0, 1});
+  Program p = MakeGuardedTc(edges);
+  auto edge = [&p](int from, int to) {
+    maint::UpdateAtom req;
+    req.pred = "e";
+    VarId x = p.factory()->Fresh(), y = p.factory()->Fresh();
+    req.args = {Term::Var(x), Term::Var(y)};
+    req.constraint.Add(Primitive::Eq(Term::Var(x), Term::Const(Value(from))));
+    req.constraint.Add(Primitive::Eq(Term::Var(y), Term::Const(Value(to))));
+    return req;
+  };
+  const std::vector<maint::UpdateAtom> inserts = {edge(1, 400)};
+  const std::vector<maint::Update> deletes = {
+      maint::Update::Delete(edge(0, 1))};
+
+  struct Run {
+    View view;
+    FixpointStats materialize;
+    maint::InsertStats insert;
+    maint::BatchStats batch;
+    int64_t calls = 0;
+  };
+  auto run = [&](int threads) {
+    CountingEvaluator eval(w.domains.get());
+    EXPECT_FALSE(eval.ConcurrentReadSafe());
+    FixpointOptions opts;
+    opts.num_threads = threads;
+    Run r;
+    r.view = Unwrap(Materialize(p, &eval, opts, &r.materialize));
+    int ext = 0;
+    Status s = maint::InsertBatch(p, &r.view, inserts, &eval, opts,
+                                  &r.insert, &ext);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    s = maint::ApplyBatch(p, &r.view, deletes, &eval, opts, &r.batch, &ext);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    r.calls = eval.calls();
+    return r;
+  };
+  Run seq = run(1);
+  Run par = run(8);
+
+  EXPECT_EQ(Canon(seq.view), Canon(par.view));
+  EXPECT_EQ(Sups(seq.view), Sups(par.view));
+  EXPECT_EQ(seq.materialize.atoms_created, par.materialize.atoms_created);
+  EXPECT_EQ(seq.materialize.duplicates_suppressed,
+            par.materialize.duplicates_suppressed);
+  EXPECT_EQ(seq.materialize.derivations_attempted,
+            par.materialize.derivations_attempted);
+  EXPECT_EQ(seq.materialize.index_probes, par.materialize.index_probes);
+  EXPECT_EQ(seq.materialize.iterations, par.materialize.iterations);
+  EXPECT_EQ(seq.insert.add_atoms, par.insert.add_atoms);
+  EXPECT_EQ(seq.insert.atoms_added, par.insert.atoms_added);
+  EXPECT_EQ(seq.insert.unfold_derivations, par.insert.unfold_derivations);
+  EXPECT_EQ(seq.insert.index_probes, par.insert.index_probes);
+  EXPECT_EQ(seq.batch.del_elements, par.batch.del_elements);
+  EXPECT_EQ(seq.batch.replacements, par.batch.replacements);
+  EXPECT_EQ(seq.batch.step3_replacements, par.batch.step3_replacements);
+  EXPECT_EQ(seq.batch.removed_unsolvable, par.batch.removed_unsolvable);
+  EXPECT_GT(seq.batch.step3_replacements, 1u);  // a real parent sweep
+  EXPECT_EQ(seq.calls, par.calls);
+
+  // Nothing fanned out: no shards, no worker-side evaluator use.
+  EXPECT_EQ(par.materialize.partitions_run, 0);
+  EXPECT_EQ(par.materialize.evaluator_clones, 0);
+  EXPECT_EQ(par.insert.partitions_run, 0);
+  EXPECT_EQ(par.insert.evaluator_clones, 0);
+  EXPECT_EQ(par.batch.partitions_run, 0);
+  EXPECT_EQ(par.batch.evaluator_clones, 0);
+}
+
 // ---- option plumbing ------------------------------------------------------
 
 TEST(ParallelStrataTest, ParseThreadsFailsLoudly) {
