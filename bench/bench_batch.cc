@@ -112,7 +112,6 @@ void RunBurst(benchmark::State& state, const std::string& burst_text,
       static_cast<double>(stats.probe_intersections);
   state.counters["plan_cache_hits"] =
       static_cast<double>(stats.plan_cache_hits);
-  // The thread-safe-domain invariant: CI requires this zero everywhere.
 }
 
 // {depth, K}: 8 chains of K facts each; the burst clears chain 0.

@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Diffs the derived-atom counters of two or more bench JSON sidecars.
 
-Usage: compare_bench_modes.py [--require-zero COUNTER ...]
-           [--require-nonzero COUNTER ...]
+Usage: compare_bench_modes.py [--require-nonzero COUNTER ...]
            REFERENCE.json OTHER.json [OTHER2.json ...]
 
 Each input is the JSONL sidecar a bench binary writes (one object per case:
@@ -15,18 +14,13 @@ file is the reference; every other file is diffed against it. Timing
 fields are ignored. Exits non-zero on any mismatch, and when nothing
 comparable was found (a silently empty comparison would defeat the check).
 
---require-zero COUNTER (repeatable) additionally asserts the named counter
-is zero in EVERY case of EVERY sidecar that reports it — a gate for
-"this must never fire" invariants. A required-zero counter that
-no sidecar reports fails too: a filter change silently dropping the
-guarded cases would otherwise defeat the gate.
-
 --require-nonzero COUNTER (repeatable) asserts the named counter is
 NONZERO in at least one case of at least one sidecar — the CI gate for
 "this machinery actually engaged" invariants like sat_rejects: the solver
 fast path must refute something on a solver-bound workload, or the whole
-tier is dead code. A counter that never appears fails for the same
-filter-drift reason as --require-zero.
+tier is dead code. A counter that never appears fails too: a
+filter change silently dropping the guarded cases would otherwise defeat
+the gate.
 """
 
 import json
@@ -119,17 +113,11 @@ def diff(failures, label, a, b):
 
 def main():
     argv = sys.argv[1:]
-    require_zero = []
     require_nonzero = []
     paths = []
     i = 0
     while i < len(argv):
-        if argv[i] == "--require-zero":
-            if i + 1 >= len(argv):
-                sys.exit("--require-zero needs a counter name")
-            require_zero.append(argv[i + 1])
-            i += 2
-        elif argv[i] == "--require-nonzero":
+        if argv[i] == "--require-nonzero":
             if i + 1 >= len(argv):
                 sys.exit("--require-nonzero needs a counter name")
             require_nonzero.append(argv[i + 1])
@@ -165,25 +153,6 @@ def main():
                     failures, f"{name} vs {twin} [{path}]",
                     cases[name], cases[twin]
                 )
-    # The zero gates: every sidecar, every case, no pairing involved.
-    for counter in require_zero:
-        seen = 0
-        for path, cases in [(reference_path, reference)] + others:
-            for name in sorted(cases):
-                counters = cases[name]
-                if counter in counters:
-                    seen += 1
-                    if counters[counter] != 0:
-                        failures.append(
-                            f"{name} [{path}]: {counter} ="
-                            f" {counters[counter]} (required zero)"
-                        )
-        if seen == 0:
-            failures.append(
-                f"required-zero counter {counter!r} never appeared in any"
-                " sidecar — check the bench filters"
-            )
-        compared += seen
     # The nonzero gates: the counter must appear AND fire somewhere.
     for counter in require_nonzero:
         seen = 0

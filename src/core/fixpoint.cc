@@ -691,7 +691,9 @@ class Engine {
     runner_.Bind(stats_, &direct_sink_);
     const std::vector<Clause>& clauses = program.clauses();
     for (size_t ci = 0; ci < clauses.size(); ++ci) {
-      if (!clauses[ci].IsFact()) rules_.push_back(Rule{ci});
+      if (clauses[ci].IsFact()) continue;
+      rules_.emplace_back();
+      rules_.back().clause = ci;
     }
   }
 

@@ -111,7 +111,10 @@ struct FixpointOptions {
   /// counters are identical to num_threads=1 whatever the thread count.
   /// (Fresh-variable NUMBERING and solver-memo hit counts may differ —
   /// the same non-contract PR-3 carved out between join modes. Truncated
-  /// runs — max_atoms / max_iterations — may cut off at different atoms.)
+  /// runs — max_atoms / max_iterations — may cut off at different atoms.
+  /// Fan-out checks max_atoms against pre-dedup staged atoms, so a run
+  /// that fits the budget on one thread can report truncated — and
+  /// maint::ApplyBatch fail with ResourceExhausted — at more threads.)
   ///
   /// Precondition for fan-out: the evaluator is null or reports
   /// DcaEvaluator::ConcurrentReadSafe(), because workers call it without

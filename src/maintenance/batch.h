@@ -188,6 +188,9 @@ struct BatchStats {
 /// batch to a copy. An insertion continuation truncated by
 /// \p options.max_atoms / max_iterations is an error too
 /// (ResourceExhausted): the burst is aborted in the log and not published.
+/// Under fan-out (options.num_threads > 1) the budget is checked against
+/// pre-dedup staged atoms, so a burst whose closure a one-thread run fits
+/// into max_atoms can fail here at a higher thread count.
 ///
 /// \p ext_support_counter persists external-fact support numbering across
 /// batches on the same view; when null, a fresh counter is seeded below the

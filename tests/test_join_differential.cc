@@ -340,6 +340,41 @@ TEST(JoinDifferential, ReciprocalStarJoinGroundRejects) {
   EXPECT_EQ(v.AtomsFor("sym").size(), 2u * m);
 }
 
+// A diagonal body atom d(X) <- a(X, X) over mixed tuples: nothing is bound
+// at depth 0, so the ordered plan scans every a-tuple, binds X from the
+// first position and must reject the off-diagonal ones mid-join on the
+// second — then undo the binding before the next candidate.
+TEST(JoinDifferential, DiagonalAtomRejectsMidJoin) {
+  TestWorld w = TestWorld::Make();
+  Program p;
+  const int m = 4;
+  for (int a = 0; a < m; ++a) {
+    for (int b = 0; b < m; ++b) {
+      Clause c;
+      c.head_pred = "a";
+      VarId x = p.factory()->Fresh(), y = p.factory()->Fresh();
+      c.head_args = {Term::Var(x), Term::Var(y)};
+      c.constraint.Add(Primitive::Eq(Term::Var(x), Term::Const(Value(a))));
+      c.constraint.Add(Primitive::Eq(Term::Var(y), Term::Const(Value(b))));
+      p.AddClause(std::move(c));
+    }
+  }
+  {
+    Clause c;
+    VarId x = p.factory()->Fresh();
+    c.head_pred = "d";
+    c.head_args = {Term::Var(x)};
+    c.body.push_back(BodyAtom{"a", {Term::Var(x), Term::Var(x)}});
+    p.AddClause(std::move(c));
+  }
+  FixpointStats stats;
+  ExpectModesAgree(p, w.domains.get(), FixpointOptions(), "diagonal",
+                   &stats);
+  EXPECT_EQ(stats.ground_rejects, m * (m - 1));
+  View v = Unwrap(Materialize(p, w.domains.get(), FixpointOptions()));
+  EXPECT_EQ(v.AtomsFor("d").size(), static_cast<size_t>(m));
+}
+
 // Regression: a head variable not bound through the body ("unsafe") that
 // occurs at SEVERAL head positions must stay one variable in the fast
 // path's output — p(X, X) <- q(Y) denotes the diagonal, not the cross
