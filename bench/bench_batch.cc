@@ -100,18 +100,7 @@ void RunBurst(benchmark::State& state, const std::string& burst_text,
     if (!s.ok()) state.SkipWithError(s.ToString().c_str());
     benchmark::DoNotOptimize(v.size());
   }
-  state.counters["updates"] = static_cast<double>(burst.size());
-  state.counters["coalesced"] = static_cast<double>(stats.coalesced_away);
-  state.counters["delete_passes"] = static_cast<double>(stats.delete_passes);
-  state.counters["insert_passes"] = static_cast<double>(stats.insert_passes);
-  state.counters["replacements"] = static_cast<double>(stats.replacements);
-  state.counters["step3"] = static_cast<double>(stats.step3_replacements);
-  state.counters["added"] = static_cast<double>(stats.insertion_pass_atoms);
-  state.counters["plan_reorders"] = static_cast<double>(stats.plan_reorders);
-  state.counters["probe_intersections"] =
-      static_cast<double>(stats.probe_intersections);
-  state.counters["plan_cache_hits"] =
-      static_cast<double>(stats.plan_cache_hits);
+  ExportCounters(state, stats);
 }
 
 // {depth, K}: 8 chains of K facts each; the burst clears chain 0.
@@ -192,8 +181,8 @@ void BM_BulkLoadBurst_BatchThreads(benchmark::State& state) {
 // completed per second of batch time. The reader is a plain std::thread so
 // the engine's ThreadPool stays free for the writer's parallel fan-out.
 // Work-product counters stay deterministic (the sidecar diff compares
-// them); snapshot_reads/reader_qps are timing-dependent by nature and are
-// excluded from COMPARED. {depth, K}.
+// them); snapshot_reads/reader_qps are timing-dependent by nature, carry
+// no class, and so are never compared. {depth, K}.
 void BM_SnapshotReadDuringBatch(benchmark::State& state) {
   int k = static_cast<int>(state.range(1));
   Program p =
@@ -236,18 +225,7 @@ void BM_SnapshotReadDuringBatch(benchmark::State& state) {
     batch_seconds += elapsed.count();
     benchmark::DoNotOptimize(v.size());
   }
-  state.counters["updates"] = static_cast<double>(burst.size());
-  state.counters["coalesced"] = static_cast<double>(stats.coalesced_away);
-  state.counters["delete_passes"] = static_cast<double>(stats.delete_passes);
-  state.counters["insert_passes"] = static_cast<double>(stats.insert_passes);
-  state.counters["replacements"] = static_cast<double>(stats.replacements);
-  state.counters["step3"] = static_cast<double>(stats.step3_replacements);
-  state.counters["epochs_published"] =
-      static_cast<double>(stats.epochs_published);
-  state.counters["snapshot_nodes_shared"] =
-      static_cast<double>(stats.snapshot_nodes_shared);
-  state.counters["snapshot_nodes_copied"] =
-      static_cast<double>(stats.snapshot_nodes_copied);
+  ExportCounters(state, stats);
   state.counters["snapshot_reads"] = static_cast<double>(reads);
   state.counters["reader_qps"] =
       batch_seconds > 0 ? static_cast<double>(reads) / batch_seconds : 0.0;
@@ -304,7 +282,7 @@ void BM_SnapshotPublish(benchmark::State& state) {
       benchmark::DoNotOptimize(copy.size());
     }
   }
-  state.counters["updates"] = static_cast<double>(k);
+  state.counters["input_updates"] = static_cast<double>(k);
   state.counters["view_atoms"] = base_atoms;
   state.counters["snapshot_nodes_shared"] =
       static_cast<double>(last.segments_shared);

@@ -56,7 +56,7 @@ void BM_Delete_StDel(benchmark::State& state) {
     if (!s.ok()) state.SkipWithError(s.ToString().c_str());
   }
   state.counters["view_atoms"] = static_cast<double>(base.size());
-  state.counters["replacements"] = static_cast<double>(stats.replacements);
+  ExportCounters(state, stats);
   state.counters["rederivations"] = 0;  // StDel never rederives
   View::IndexStats idx = base.index_stats();
   state.counters["index_postings"] = static_cast<double>(idx.postings);

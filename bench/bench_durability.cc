@@ -91,19 +91,9 @@ void RunWalOverhead(benchmark::State& state, bool logged) {
     if (!s.ok()) state.SkipWithError(s.ToString().c_str());
     benchmark::DoNotOptimize(v.size());
   }
-  state.counters["updates"] = static_cast<double>(burst.size());
-  state.counters["added"] = static_cast<double>(stats.insertion_pass_atoms);
-  state.counters["wal_records"] = static_cast<double>(stats.wal_records);
-  state.counters["wal_bytes"] = static_cast<double>(stats.wal_bytes);
-  state.counters["wal_syncs"] = static_cast<double>(stats.wal_syncs);
   // Both modes publish to the SnapshotStore, so the CoW sharing counters
   // are twin-equal: the logged/unlogged pair shares one extraction path.
-  state.counters["snapshot_nodes_shared"] =
-      static_cast<double>(stats.snapshot_nodes_shared);
-  state.counters["snapshot_nodes_copied"] =
-      static_cast<double>(stats.snapshot_nodes_copied);
-  state.counters["checkpoint_delta_bytes"] =
-      static_cast<double>(stats.checkpoint_delta_bytes);
+  ExportCounters(state, stats);
 }
 
 // {logged, depth, K}. The logged flag is the FIRST arg on purpose: the

@@ -54,16 +54,7 @@ void BM_Insert_Incremental(benchmark::State& state) {
     if (!s.ok()) state.SkipWithError(s.ToString().c_str());
   }
   state.counters["view_atoms"] = static_cast<double>(base.size());
-  state.counters["atoms_added"] = static_cast<double>(stats.atoms_added);
-  state.counters["unfold_derivs"] =
-      static_cast<double>(stats.unfold_derivations);
-  state.counters["index_probes"] = static_cast<double>(stats.index_probes);
-  state.counters["ground_rejects"] =
-      static_cast<double>(stats.ground_rejects);
-  state.counters["rename_skipped"] =
-      static_cast<double>(stats.rename_skipped);
-  state.counters["solver_cache_hits"] = static_cast<double>(
-      stats.solver.cache_hits + stats.unfold_solver.cache_hits);
+  ExportCounters(state, stats);
   View::IndexStats idx = base.index_stats();
   state.counters["index_postings"] = static_cast<double>(idx.postings);
   state.counters["index_support_entries"] =
@@ -162,7 +153,7 @@ void BM_Continuation_Chain(benchmark::State& state) {
     benchmark::DoNotOptimize(added);
   }
   state.counters["atoms_added"] = static_cast<double>(added);
-  ExportJoinCounters(state, fs);
+  ExportCounters(state, fs);
 }
 
 // The same continuation over a chain, but the K inserted facts are
@@ -220,9 +211,7 @@ void BM_Continuation_IntervalChain(benchmark::State& state) {
     benchmark::DoNotOptimize(added);
   }
   state.counters["atoms_added"] = static_cast<double>(added);
-  state.counters["solve_calls"] =
-      static_cast<double>(fs.solver.solve_calls);
-  ExportJoinCounters(state, fs);
+  ExportCounters(state, fs);
 }
 
 // Transitive-closure edge insertion: the recursive path rule joins the new
@@ -261,7 +250,7 @@ void BM_Continuation_TransitiveClosure(benchmark::State& state) {
     benchmark::DoNotOptimize(added);
   }
   state.counters["atoms_added"] = static_cast<double>(added);
-  ExportJoinCounters(state, fs);
+  ExportCounters(state, fs);
 }
 
 // A guarded chain — p{k+1}(X) <- p{k}(X), p0(X): every level re-joins the
@@ -298,7 +287,7 @@ void BM_Continuation_GuardedChain(benchmark::State& state) {
     benchmark::DoNotOptimize(added);
   }
   state.counters["atoms_added"] = static_cast<double>(added);
-  ExportJoinCounters(state, fs);
+  ExportCounters(state, fs);
 }
 
 // The guarded chain with the guard written FIRST — p{k+1}(X) <- p0(X),
@@ -340,7 +329,7 @@ void BM_Continuation_GuardedChainReversed(benchmark::State& state) {
     benchmark::DoNotOptimize(added);
   }
   state.counters["atoms_added"] = static_cast<double>(added);
-  ExportJoinCounters(state, fs);
+  ExportCounters(state, fs);
 }
 
 // Eight independent guarded chains — eight head-predicate groups per
@@ -395,7 +384,7 @@ void BM_Continuation_GuardedMultiChain(benchmark::State& state) {
   }
   state.counters["atoms_added"] = static_cast<double>(added);
   state.counters["threads"] = static_cast<double>(opts.num_threads);
-  ExportJoinCounters(state, fs);
+  ExportCounters(state, fs);
 }
 
 // Transitive closure with a DCA-guarded recursive clause — ONE recursive
@@ -407,8 +396,8 @@ void BM_Continuation_GuardedMultiChain(benchmark::State& state) {
 // solver + domain evaluation on the worker, the regime partitioning is
 // for. Thread-paired like GuardedMultiChain: trailing arg 0 = 1 thread,
 // 1 = every hardware thread, and the derived-atom counters must match
-// across the pair byte for byte (CI diffs them; partitions_run shows how
-// many shards actually ran). {n, K, threads flag}.
+// across the pair byte for byte (CI diffs them; the thread-class fan-out
+// counters show how many shards actually ran). {n, K, threads flag}.
 void BM_Continuation_TransitiveClosureThreads(benchmark::State& state) {
   World w = World::Make();
   int n = static_cast<int>(state.range(0));
@@ -485,7 +474,7 @@ void BM_Continuation_TransitiveClosureThreads(benchmark::State& state) {
   }
   state.counters["atoms_added"] = static_cast<double>(added);
   state.counters["threads"] = static_cast<double>(opts.num_threads);
-  ExportJoinCounters(state, fs);
+  ExportCounters(state, fs);
 }
 
 // A record chain: the same propagation shape as BM_Continuation_Chain but
@@ -552,7 +541,7 @@ void BM_Continuation_RecordChain(benchmark::State& state) {
     benchmark::DoNotOptimize(added);
   }
   state.counters["atoms_added"] = static_cast<double>(added);
-  ExportJoinCounters(state, fs);
+  ExportCounters(state, fs);
 }
 
 // Reciprocal join over a star graph: base edges e(j, 0) into the hub, a
@@ -612,7 +601,7 @@ void BM_Continuation_ReciprocalStar(benchmark::State& state) {
     benchmark::DoNotOptimize(added);
   }
   state.counters["atoms_added"] = static_cast<double>(added);
-  ExportJoinCounters(state, fs);
+  ExportCounters(state, fs);
 }
 
 void InsertArgs(benchmark::internal::Benchmark* b) {

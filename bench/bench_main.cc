@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "core/fixpoint.h"
+#include "bench_util.h"
 
 namespace mmv {
 namespace bench {
@@ -30,7 +30,10 @@ std::string JsonEscape(const std::string& s) {
 }
 
 // Console reporter that also appends one JSON object per run to a sidecar
-// file: {"name", "real_ms", "cpu_ms", "iterations", "counters": {...}}.
+// file: {"name", "real_ms", "cpu_ms", "iterations", "counters": {...},
+// "classes": {...}}. "classes" maps every declared counter of the run to
+// its CounterClass name ("work" / "strategy" / "thread"), so the mode
+// comparator reads which counters must match from the sidecar itself.
 class JsonSidecarReporter : public benchmark::ConsoleReporter {
  public:
   explicit JsonSidecarReporter(const std::string& path) : out_(path) {}
@@ -51,6 +54,16 @@ class JsonSidecarReporter : public benchmark::ConsoleReporter {
       for (const auto& [name, counter] : run.counters) {
         if (!first) out_ << ", ";
         out_ << '"' << JsonEscape(name) << "\": " << counter.value;
+        first = false;
+      }
+      out_ << "}, \"classes\": {";
+      first = true;
+      for (const auto& [name, counter] : run.counters) {
+        const CounterClass* cls = DeclaredClass(name);
+        if (cls == nullptr) continue;
+        if (!first) out_ << ", ";
+        out_ << '"' << JsonEscape(name) << "\": \"" << CounterClassName(*cls)
+             << '"';
         first = false;
       }
       out_ << "}}\n";

@@ -9,11 +9,15 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <thread>
 
+#include "core/counters.h"
 #include "domain/registry.h"
+#include "maintenance/batch.h"
 #include "maintenance/dred_constrained.h"
 #include "maintenance/insert.h"
 #include "maintenance/recompute.h"
@@ -123,42 +127,44 @@ inline FixpointOptions SetSemantics() {
   return o;
 }
 
-/// \brief Exports the join-pipeline counters of a fixpoint run.
-inline void ExportJoinCounters(benchmark::State& state,
-                               const FixpointStats& stats) {
-  state.counters["index_probes"] = static_cast<double>(stats.index_probes);
-  state.counters["ground_rejects"] =
-      static_cast<double>(stats.ground_rejects);
-  state.counters["rename_skipped"] =
-      static_cast<double>(stats.rename_skipped);
-  state.counters["solver_cache_hits"] =
-      static_cast<double>(stats.solver.cache_hits);
-  state.counters["plan_reorders"] =
-      static_cast<double>(stats.plan_reorders);
-  state.counters["probe_intersections"] =
-      static_cast<double>(stats.probe_intersections);
-  state.counters["plan_cache_hits"] =
-      static_cast<double>(stats.plan_cache_hits);
-  // Solver fast-path counters: strategy counters like solver_cache_hits —
-  // never compared across modes (a fastpath=off replay has all three at
-  // zero by construction; naive/indexed differ through DerivePlanned's
-  // bypass). Exported so a solver-bound case shows its sat_rejects > 0.
-  state.counters["sat_prechecks"] =
-      static_cast<double>(stats.solver.sat_prechecks);
-  state.counters["sat_rejects"] =
-      static_cast<double>(stats.solver.sat_rejects);
-  state.counters["reject_cache_hits"] =
-      static_cast<double>(stats.solver.reject_cache_hits);
-  // Fan-out shape counters: thread-count-DEPENDENT by design, so sidecar
-  // diffs across thread counts must not compare them (see
-  // scripts/compare_bench_modes.py) — they are exported to show how much
-  // partitioning a run actually did.
-  state.counters["partitions_run"] =
-      static_cast<double>(stats.partitions_run);
-  state.counters["partition_skipped_small"] =
-      static_cast<double>(stats.partition_skipped_small);
-  state.counters["evaluator_clones"] =
-      static_cast<double>(stats.evaluator_clones);
+/// \brief Exports every counter of \p stats — any struct generated from a
+/// core/counters.h list — under its declared name.
+template <typename Stats>
+void ExportCounters(benchmark::State& state, const Stats& stats) {
+  stats.ForEachCounter([&state](const CounterInfo& c, const auto& value) {
+    state.counters[c.name] = static_cast<double>(value);
+  });
+}
+
+/// \brief Work products the benches measure outside the stats structs,
+/// declared once here so the sidecar classifies them like table counters.
+inline const CounterInfo kBenchCounters[] = {
+    {"view_atoms", CounterClass::kWork},  // atoms of the view a case runs on
+    {"insertions", CounterClass::kWork},  // insert requests a case applies
+    {"replayed", CounterClass::kWork},    // bursts recovery replayed
+    {"replay_added", CounterClass::kWork},      // atoms those bursts added
+    {"checkpoint_epoch", CounterClass::kWork},  // recovery's checkpoint
+    {"atoms_added", CounterClass::kWork},  // atoms a run added (size diff)
+};
+
+/// \brief The declared class of sidecar counter \p name: a stats-table
+/// counter or one of kBenchCounters. Null for names nothing declares
+/// (timings, and shapes a case reports for context).
+inline const CounterClass* DeclaredClass(const std::string& name) {
+  static const std::map<std::string, CounterClass> classes = [] {
+    std::map<std::string, CounterClass> m;
+    auto add = [&m](const CounterInfo& c, const auto&) {
+      m.emplace(c.name, c.cls);
+    };
+    FixpointStats().ForEachCounter(add);
+    maint::StDelStats().ForEachCounter(add);
+    maint::InsertStats().ForEachCounter(add);
+    maint::BatchStats().ForEachCounter(add);
+    for (const CounterInfo& c : kBenchCounters) m.emplace(c.name, c.cls);
+    return m;
+  }();
+  auto it = classes.find(name);
+  return it == classes.end() ? nullptr : &it->second;
 }
 
 }  // namespace bench

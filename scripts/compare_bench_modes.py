@@ -1,87 +1,32 @@
 #!/usr/bin/env python3
-"""Diffs the derived-atom counters of two or more bench JSON sidecars.
+"""Diffs the work-class counters of two or more bench JSON sidecars.
 
 Usage: compare_bench_modes.py [--require-nonzero COUNTER ...]
            REFERENCE.json OTHER.json [OTHER2.json ...]
 
 Each input is the JSONL sidecar a bench binary writes (one object per case:
-name, real_ms, counters). The indexed join pipeline must derive EXACTLY the
-atom counts the naive oracle derives, and the parallel engine
-(MMV_THREADS=8 sidecar vs MMV_THREADS=1 sidecar) exactly what the
-one-thread engine derives — so for every case present in
-both files the work-product counters must match bit-for-bit. The first
-file is the reference; every other file is diffed against it. Timing
-fields are ignored. Exits non-zero on any mismatch, and when nothing
+name, real_ms, counters, classes). "classes" gives the declared
+CounterClass of each counter (src/core/counters.h, plus the bench-local
+work products in bench/bench_util.h): "work" counters are byte-identical
+across join mode, thread count and the solver fast path, so for every case
+present in both files each counter classed "work" must match bit-for-bit.
+"strategy" and "thread" counters, and undeclared ones, are not compared.
+The first file is the reference; every other file is diffed against it.
+Exits non-zero on any mismatch, when a sidecar carries no class
+information (written by an older bench binary), and when nothing
 comparable was found (a silently empty comparison would defeat the check).
 
 --require-nonzero COUNTER (repeatable) asserts the named counter is
 NONZERO in at least one case of at least one sidecar — the CI gate for
-"this machinery actually engaged" invariants like sat_rejects: the solver
-fast path must refute something on a solver-bound workload, or the whole
-tier is dead code. A counter that never appears fails too: a
+"this machinery actually engaged" invariants like the solver fast path's
+screens: they must refute something on a solver-bound workload, or the
+whole tier is dead code. A counter that never appears fails too: a
 filter change silently dropping the guarded cases would otherwise defeat
 the gate.
 """
 
 import json
 import sys
-
-# Counters that describe the derived work product (not the strategy).
-# Strategy-dependent counters (probes, rejects, derivation attempts, plan
-# reorders/intersections/cache and memo hits, thread counts) are
-# deliberately excluded: the indexed join legitimately attempts fewer
-# derivations than the oracle, and the parallel engine memoizes solver
-# outcomes per task.
-# The deletion-side counters (replacements, step3) are work product too:
-# StDel's parallel step-3 must replace exactly what the sequential sweep
-# replaces. The fan-out shape counters (partitions_run,
-# partition_skipped_small, evaluator_clones) describe the parallel schedule
-# itself — they scale with the thread count BY DESIGN, so a 1-vs-8 sidecar
-# diff must leave them out; everything in COMPARED is a work-product
-# invariant that byte-identity guarantees across thread counts.
-# The solver fast-path counters (sat_prechecks, sat_rejects,
-# reject_cache_hits) are strategy counters in every pairing this script
-# sees: a MMV_SOLVER_FASTPATH=off replay has all three at zero by
-# construction, the naive/indexed twins diverge through DerivePlanned's
-# ground-tuple bypass (it skips the pre-join screen entirely), and a
-# parallel run drops the rejection memo per slice. They are gated with
-# --require-nonzero on solver-bound cases instead of compared.
-COMPARED = (
-    "atoms_added",
-    "added",
-    "view_atoms",
-    "updates",
-    "coalesced",
-    "insertions",
-    "replacements",
-    "step3",
-    "delete_passes",
-    "insert_passes",
-    # Snapshot publication is one epoch per clean batch regardless of the
-    # join mode or thread count; the reader-side counters
-    # (snapshot_reads, reader_qps) are timing-dependent and stay excluded.
-    "epochs_published",
-    # Durability is a function of the burst text, not the engine: the WAL
-    # record framing, the replayed-burst count and the checkpoint lineage
-    # must be byte-for-byte identical whatever join/thread mode
-    # applied the bursts. wal_syncs is policy-driven (one per committed
-    # batch under kEveryBatch), so it is an invariant too.
-    "wal_records",
-    "wal_bytes",
-    "wal_syncs",
-    "replayed",
-    "replay_added",
-    "checkpoint_epoch",
-    # Copy-on-write publication is a function of the burst's dirty set,
-    # not the engine: which per-pred segments an extraction shares vs
-    # copies — and how many delta-frame bytes the checkpoint cadence
-    # writes — must match across join/thread modes. (The benches that
-    # pit CoW against the deep-copy baseline put that mode flag FIRST, so
-    # these never land in a /0-vs-/1 twin pair.)
-    "snapshot_nodes_shared",
-    "snapshot_nodes_copied",
-    "checkpoint_delta_bytes",
-)
 
 
 def load(path):
@@ -97,17 +42,25 @@ def load(path):
             # the trailing mode arg stays comparable (".../0" vs ".../1").
             if name.endswith("/manual_time"):
                 name = name[: -len("/manual_time")]
-            cases[name] = obj.get("counters", {})
+            if "classes" not in obj:
+                sys.exit(
+                    f"{path}: case {name!r} carries no counter classes —"
+                    " rebuild the bench binary that wrote it"
+                )
+            cases[name] = (obj.get("counters", {}), obj["classes"])
     return cases
 
 
 def diff(failures, label, a, b):
+    (a_counters, a_classes), (b_counters, _) = a, b
     compared = 0
-    for key in COMPARED:
-        if key in a and key in b:
+    for key in sorted(a_counters):
+        if a_classes.get(key) == "work" and key in b_counters:
             compared += 1
-            if a[key] != b[key]:
-                failures.append(f"{label}: {key} {a[key]} != {b[key]}")
+            if a_counters[key] != b_counters[key]:
+                failures.append(
+                    f"{label}: {key} {a_counters[key]} != {b_counters[key]}"
+                )
     return compared
 
 
@@ -159,7 +112,7 @@ def main():
         fired = 0
         for path, cases in [(reference_path, reference)] + others:
             for name in sorted(cases):
-                counters = cases[name]
+                counters, _ = cases[name]
                 if counter in counters:
                     seen += 1
                     if counters[counter] != 0:

@@ -23,6 +23,7 @@
 #include "common/result.h"
 #include "constraint/constraint.h"
 #include "constraint/substitution.h"
+#include "core/counters.h"
 
 namespace mmv {
 
@@ -154,36 +155,10 @@ inline bool IsSolvable(SolveOutcome o) {
   return o == SolveOutcome::kSat || o == SolveOutcome::kSatDeferred;
 }
 
-/// \brief Counters for benchmarking the solver (E8).
+/// \brief Counters for benchmarking the solver (E8); declared in
+/// core/counters.h.
 struct SolveStats {
-  int64_t solve_calls = 0;
-  int64_t dca_evaluations = 0;
-  int64_t choice_branches = 0;
-  int64_t literals_processed = 0;
-  int64_t cache_hits = 0;  ///< Solve calls answered by the SolveCache memo
-  int64_t sat_prechecks = 0;  ///< TestSatisfiability / RejectJoin screens run
-  int64_t sat_rejects = 0;    ///< screens that refuted deterministically
-                              ///  (no memo consulted for the verdict)
-  int64_t reject_cache_hits = 0;  ///< screens refuted by a RejectCache
-                                  ///  record (memo-dependent, like
-                                  ///  cache_hits). All three are STRATEGY
-                                  ///  counters: like cache_hits they stay
-                                  ///  out of cross-mode byte-identity
-                                  ///  comparisons — only the work product
-                                  ///  (views, supports, unsat_pruned...)
-                                  ///  is mode-invariant.
-
-  SolveStats& operator+=(const SolveStats& other) {
-    solve_calls += other.solve_calls;
-    dca_evaluations += other.dca_evaluations;
-    choice_branches += other.choice_branches;
-    literals_processed += other.literals_processed;
-    cache_hits += other.cache_hits;
-    sat_prechecks += other.sat_prechecks;
-    sat_rejects += other.sat_rejects;
-    reject_cache_hits += other.reject_cache_hits;
-    return *this;
-  }
+  MMV_COUNTERS(SolveStats, MMV_SOLVE_COUNTERS)
 };
 
 /// \brief Description of one variable equivalence class after propagation,

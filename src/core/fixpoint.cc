@@ -991,12 +991,7 @@ class Engine {
   // Folds one fanned-out slice into the engine: its counters, then its
   // staged atoms in enumeration order until the view reaches the budget.
   Status MergeSlice(SliceOutcome* out) {
-    stats_->derivations_attempted += out->stats.derivations_attempted;
-    stats_->unsat_pruned += out->stats.unsat_pruned;
-    stats_->index_probes += out->stats.index_probes;
-    stats_->ground_rejects += out->stats.ground_rejects;
-    stats_->rename_skipped += out->stats.rename_skipped;
-    stats_->probe_intersections += out->stats.probe_intersections;
+    *stats_ += out->stats;
     fan_out_solver_ += out->solver;
     // A slice cut short by the staging budget may have stopped before
     // derivations an inline pass (capping on the DEDUPED view size) would

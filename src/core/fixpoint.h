@@ -149,36 +149,10 @@ struct FixpointOptions {
   SolverOptions solver;
 };
 
-/// \brief Instrumentation of a materialization run.
+/// \brief Instrumentation of a materialization run (declared in
+/// core/counters.h).
 struct FixpointStats {
-  int iterations = 0;
-  int64_t derivations_attempted = 0;
-  int64_t atoms_created = 0;
-  int64_t unsat_pruned = 0;       ///< T_P only
-  int64_t duplicates_suppressed = 0;
-  int64_t index_probes = 0;       ///< arg-value index probes (kIndexed)
-  int64_t ground_rejects = 0;     ///< candidates cut by ground mismatch
-                                  ///  before deeper positions enumerated
-  int64_t rename_skipped = 0;     ///< fully-ground derivations assembled
-                                  ///  without a clause rename
-  int64_t plan_reorders = 0;      ///< plan compiles whose execution order
-                                  ///  differs from the written body order
-  int64_t probe_intersections = 0;  ///< probes that weighed >= 2 ground
-                                    ///  arg-value buckets and took the
-                                    ///  smallest (multi-position probes)
-  int64_t plan_cache_hits = 0;    ///< clause plans served without compiling
-  // The three counters below describe the parallel fan-out itself, so they
-  // DEPEND on num_threads (unlike every counter above, which is part of
-  // the byte-identity contract across thread counts).
-  int64_t partitions_run = 0;     ///< delta-window shards executed as their
-                                  ///  own tasks (0 when sequential)
-  int64_t partition_skipped_small = 0;  ///< shardable pivot windows left
-                                        ///  whole: below the size threshold
-  int64_t evaluator_clones = 0;   ///< tasks that called the (read-safe)
-                                  ///  evaluator from a worker thread
-  bool truncated = false;         ///< hit max_iterations / max_atoms
-  SolveStats solver;              ///< aggregated solver counters
-                                  ///  (solver.cache_hits: memo hits)
+  MMV_COUNTERS(FixpointStats, MMV_FIXPOINT_COUNTERS)
 };
 
 /// \brief Computes T_P^w(initial) (or W_P^w) over \p program.

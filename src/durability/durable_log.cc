@@ -641,7 +641,6 @@ Result<std::unique_ptr<DurableLog>> DurableLog::Recover(
   log->next_seq_ = expected;
   info->recovered_epoch = expected - 1;
   info->ext_counter = log->ext_counter_;
-  info->replay_stats.recovery_replayed_bursts = info->replayed_bursts;
 
   if (info->recovered_epoch < newest_claimed) {
     return Status::ParseError(

@@ -35,6 +35,40 @@ Status TruncatedInsert() {
       "maintained view would be incomplete");
 }
 
+// Lifts one engine pass's plan-layer and fan-out counters (the list
+// FixpointStats, StDelStats and BatchStats splice) and its solver's
+// fast-path screens into the batch totals.
+void AddSolverScreens(const SolveStats& from, BatchStats& to) {
+  MMV_SAT_COUNTERS(MMV_LIFT_COUNTER_)
+}
+template <typename Pass>
+void AddPassCounters(const Pass& from, BatchStats& to) {
+  MMV_PASS_COUNTERS(MMV_LIFT_COUNTER_)
+  AddSolverScreens(from.solver, to);
+}
+
+// Folds one StDel pass over \p requests delete requests into \p stats.
+void AddDeletePass(const StDelStats& s, size_t requests, BatchStats* stats) {
+  stats->delete_passes++;
+  stats->deletions_applied += requests;
+  stats->del_elements += s.del_elements;
+  stats->replacements += s.replacements;
+  stats->step3_replacements += s.step3_replacements();
+  stats->removed_unsolvable += s.removed_unsolvable;
+  AddPassCounters(s, *stats);
+}
+
+// Folds one insertion pass over \p requests insert requests into \p stats:
+// its continuation's counters and both its solvers' screens.
+void AddInsertPass(const InsertStats& s, size_t requests, BatchStats* stats) {
+  stats->insert_passes++;
+  stats->insertions_applied += requests;
+  stats->add_atoms += s.add_atoms;
+  stats->insertion_pass_atoms += s.atoms_added;
+  AddPassCounters(s.unfold, *stats);
+  AddSolverScreens(s.solver, *stats);
+}
+
 // Predicates participating in any non-fact clause, as head or body atom.
 // Delete+re-insert cancellation is only sound OUTSIDE this set: a derived
 // head swaps derived coverage for an independent external support, and a
@@ -224,40 +258,13 @@ Status ApplyBatch(const Program& program, View* view,
                                            delete_solver, &s,
                                            batch_options.plan_cache,
                                            batch_options.num_threads));
-        stats->delete_passes++;
-        stats->deletions_applied += requests.size();
-        stats->del_elements += s.del_elements;
-        stats->replacements += s.replacements;
-        stats->step3_replacements += s.step3_replacements();
-        stats->removed_unsolvable += s.removed_unsolvable;
-        stats->plan_cache_hits += s.plan_cache_hits;
-        stats->sat_prechecks += s.solver.sat_prechecks;
-        stats->sat_rejects += s.solver.sat_rejects;
-        stats->reject_cache_hits += s.solver.reject_cache_hits;
-        stats->partitions_run += s.partitions_run;
-        stats->partition_skipped_small += s.partition_skipped_small;
-        stats->evaluator_clones += s.evaluator_clones;
+        AddDeletePass(s, requests.size(), stats);
       } else {
         InsertStats s;
         MMV_RETURN_NOT_OK(InsertBatch(program, view, requests, evaluator,
                                       batch_options, &s, ext_support_counter));
-        if (s.truncated) return TruncatedInsert();
-        stats->insert_passes++;
-        stats->insertions_applied += requests.size();
-        stats->add_atoms += s.add_atoms;
-        stats->insertion_pass_atoms += s.atoms_added;
-        stats->plan_reorders += s.plan_reorders;
-        stats->probe_intersections += s.probe_intersections;
-        stats->plan_cache_hits += s.plan_cache_hits;
-        stats->sat_prechecks +=
-            s.solver.sat_prechecks + s.unfold_solver.sat_prechecks;
-        stats->sat_rejects +=
-            s.solver.sat_rejects + s.unfold_solver.sat_rejects;
-        stats->reject_cache_hits +=
-            s.solver.reject_cache_hits + s.unfold_solver.reject_cache_hits;
-        stats->partitions_run += s.partitions_run;
-        stats->partition_skipped_small += s.partition_skipped_small;
-        stats->evaluator_clones += s.evaluator_clones;
+        if (s.unfold.truncated) return TruncatedInsert();
+        AddInsertPass(s, requests.size(), stats);
       }
       i = j;
     }
@@ -297,42 +304,6 @@ Status ApplyBatch(const Program& program, View* view,
   return Status::OK();
 }
 
-BatchStats& BatchStats::operator+=(const BatchStats& other) {
-  input_updates += other.input_updates;
-  coalesced_away += other.coalesced_away;
-  delete_passes += other.delete_passes;
-  insert_passes += other.insert_passes;
-  deletions_applied += other.deletions_applied;
-  insertions_applied += other.insertions_applied;
-  del_elements += other.del_elements;
-  replacements += other.replacements;
-  step3_replacements += other.step3_replacements;
-  removed_unsolvable += other.removed_unsolvable;
-  add_atoms += other.add_atoms;
-  insertion_pass_atoms += other.insertion_pass_atoms;
-  plan_reorders += other.plan_reorders;
-  probe_intersections += other.probe_intersections;
-  plan_cache_hits += other.plan_cache_hits;
-  solve_epoch_flushes += other.solve_epoch_flushes;
-  reject_epoch_flushes += other.reject_epoch_flushes;
-  sat_prechecks += other.sat_prechecks;
-  sat_rejects += other.sat_rejects;
-  reject_cache_hits += other.reject_cache_hits;
-  epochs_published += other.epochs_published;
-  snapshot_nodes_shared += other.snapshot_nodes_shared;
-  snapshot_nodes_copied += other.snapshot_nodes_copied;
-  wal_records += other.wal_records;
-  wal_bytes += other.wal_bytes;
-  wal_syncs += other.wal_syncs;
-  checkpoints_written += other.checkpoints_written;
-  checkpoint_delta_bytes += other.checkpoint_delta_bytes;
-  recovery_replayed_bursts += other.recovery_replayed_bursts;
-  partitions_run += other.partitions_run;
-  partition_skipped_small += other.partition_skipped_small;
-  evaluator_clones += other.evaluator_clones;
-  return *this;
-}
-
 Status ApplyUpdatesSequential(const Program& program, View* view,
                               const std::vector<Update>& updates,
                               DcaEvaluator* evaluator,
@@ -353,21 +324,13 @@ Status ApplyUpdatesSequential(const Program& program, View* view,
       StDelStats s;
       MMV_RETURN_NOT_OK(DeleteStDel(program, view, u.atom, evaluator,
                                     options.solver, &s));
-      stats->delete_passes++;
-      stats->deletions_applied++;
-      stats->del_elements += s.del_elements;
-      stats->replacements += s.replacements;
-      stats->step3_replacements += s.step3_replacements();
-      stats->removed_unsolvable += s.removed_unsolvable;
+      AddDeletePass(s, 1, stats);
     } else {
       InsertStats s;
       MMV_RETURN_NOT_OK(InsertAtom(program, view, u.atom, evaluator, options,
                                    &s, ext_support_counter));
-      if (s.truncated) return TruncatedInsert();
-      stats->insert_passes++;
-      stats->insertions_applied++;
-      stats->add_atoms += s.add_atoms;
-      stats->insertion_pass_atoms += s.atoms_added;
+      if (s.unfold.truncated) return TruncatedInsert();
+      AddInsertPass(s, 1, stats);
     }
   }
   return Status::OK();

@@ -112,70 +112,11 @@ class BurstLog {
   virtual void AbortBurst() = 0;
 };
 
-/// \brief Per-phase counters of one batch application.
+/// \brief Per-phase counters of one batch application (declared in
+/// core/counters.h). Recovery sums one per replayed burst into
+/// RecoveryInfo::replay_stats with the generated operator+=.
 struct BatchStats {
-  // Planner.
-  size_t input_updates = 0;
-  size_t coalesced_away = 0;
-  // Pipeline shape.
-  size_t delete_passes = 0;  ///< multi-atom StDel sweeps run
-  size_t insert_passes = 0;  ///< seminaive continuations run
-  size_t deletions_applied = 0;   ///< delete requests reaching StDel
-  size_t insertions_applied = 0;  ///< insert requests reaching the Add pass
-  // Deletion phase.
-  size_t del_elements = 0;        ///< Del-set overlaps found
-  size_t replacements = 0;        ///< constraint replacements (step 2 + 3)
-  size_t step3_replacements = 0;  ///< support-propagated replacements only
-  size_t removed_unsolvable = 0;
-  // Insertion phase.
-  size_t add_atoms = 0;             ///< externals appended by Add passes
-  size_t insertion_pass_atoms = 0;  ///< externals + derived consequences
-  // Plan / memo layer.
-  int64_t plan_reorders = 0;        ///< clause-plan compiles that reordered
-  int64_t probe_intersections = 0;  ///< multi-position probes taken
-  int64_t plan_cache_hits = 0;      ///< plans served without compiling
-  int64_t solve_epoch_flushes = 0;  ///< caller solver memo flushed because
-                                    ///  the external database's epoch moved
-  int64_t reject_epoch_flushes = 0;  ///< ditto for the pairwise rejection
-                                     ///  memo (same validity contract)
-  // Solver fast path, summed over the batch's delete and insert passes.
-  // STRATEGY counters: zero with MMV_SOLVER_FASTPATH=off and excluded from
-  // every byte-identity comparison (like plan_cache_hits) — the
-  // work-product counters above are what the on/off differential pins.
-  int64_t sat_prechecks = 0;       ///< satisfiability pre-screens run
-  int64_t sat_rejects = 0;         ///< screens that refuted deterministically
-  int64_t reject_cache_hits = 0;   ///< refutations served by the memo
-  // Snapshot layer.
-  int64_t epochs_published = 0;     ///< view epochs published to the
-                                    ///  snapshot store (1 per successful
-                                    ///  batch when a store is attached)
-  int64_t snapshot_nodes_shared = 0;  ///< per-pred posting segments the
-                                      ///  published image re-pointed at
-                                      ///  the previous epoch (CoW wins)
-  int64_t snapshot_nodes_copied = 0;  ///< segments the batch's dirty set
-                                      ///  forced the image to materialize
-  // Durability layer (filled through the BurstLog hook; all zero when no
-  // log is attached).
-  int64_t wal_records = 0;          ///< WAL records committed (1 per clean
-                                    ///  batch when a log is attached)
-  int64_t wal_bytes = 0;            ///< framed bytes those records added
-  int64_t wal_syncs = 0;            ///< explicit syncs the policy forced
-  int64_t checkpoints_written = 0;  ///< canonical snapshots written
-  int64_t checkpoint_delta_bytes = 0;  ///< bytes of DELTA checkpoint files
-                                       ///  written (zero for full images)
-  int64_t recovery_replayed_bursts = 0;  ///< bursts replayed out of the
-                                         ///  WAL (recovery-side only; see
-                                         ///  durability::RecoveryInfo)
-  // Parallel fan-out shape, summed over the batch's delete and insert
-  // passes (thread-count-dependent, see FixpointStats — every counter
-  // above is identical across thread counts, these are not).
-  int64_t partitions_run = 0;
-  int64_t partition_skipped_small = 0;
-  int64_t evaluator_clones = 0;
-
-  /// Field-wise sum — recovery accumulates one BatchStats per replayed
-  /// burst into RecoveryInfo::replay_stats with this.
-  BatchStats& operator+=(const BatchStats& other);
+  MMV_COUNTERS(BatchStats, MMV_BATCH_COUNTERS)
 };
 
 /// \brief Applies \p updates to \p view through the coalescing pipeline

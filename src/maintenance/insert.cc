@@ -114,18 +114,7 @@ Status InsertBatch(const Program& program, View* view,
     FixpointStats fstats;
     MMV_RETURN_NOT_OK(ContinueFixpoint(program, view, evaluator, fix_options,
                                        &fstats, flush_begin));
-    stats->unfold_derivations += fstats.derivations_attempted;
-    stats->index_probes += fstats.index_probes;
-    stats->ground_rejects += fstats.ground_rejects;
-    stats->rename_skipped += fstats.rename_skipped;
-    stats->plan_reorders += fstats.plan_reorders;
-    stats->probe_intersections += fstats.probe_intersections;
-    stats->plan_cache_hits += fstats.plan_cache_hits;
-    stats->partitions_run += fstats.partitions_run;
-    stats->partition_skipped_small += fstats.partition_skipped_small;
-    stats->evaluator_clones += fstats.evaluator_clones;
-    stats->unfold_solver += fstats.solver;
-    stats->truncated = stats->truncated || fstats.truncated;
+    stats->unfold += fstats;
     flush_begin = view->size();
     pending_consequences.clear();
     return Status::OK();

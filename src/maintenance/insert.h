@@ -15,24 +15,11 @@
 namespace mmv {
 namespace maint {
 
-/// \brief Counters of one insertion run.
+/// \brief Counters of one insertion run (declared in core/counters.h):
+/// the Add set, the BuildAdd diffing solver, and the seminaive
+/// continuation's own stats, summed over its flushes.
 struct InsertStats {
-  size_t add_atoms = 0;          ///< size of the initial Add set
-  size_t atoms_added = 0;        ///< total new atoms (Add + consequences)
-  int64_t unfold_derivations = 0;
-  int64_t index_probes = 0;      ///< join-pipeline counters aggregated
-  int64_t ground_rejects = 0;    ///  across the run's seminaive
-  int64_t rename_skipped = 0;    ///  continuations (kIndexed only)
-  int64_t plan_reorders = 0;     ///< plan-layer counters, aggregated the
-  int64_t probe_intersections = 0;  ///  same way (see FixpointStats)
-  int64_t plan_cache_hits = 0;
-  // Parallel fan-out shape (thread-count-dependent, see FixpointStats).
-  int64_t partitions_run = 0;
-  int64_t partition_skipped_small = 0;
-  int64_t evaluator_clones = 0;
-  bool truncated = false;
-  SolveStats solver;             ///< BuildAdd diffing solver counters
-  SolveStats unfold_solver;      ///< continuation (fixpoint) solver counters
+  MMV_COUNTERS(InsertStats, MMV_INSERT_COUNTERS)
 };
 
 /// \brief Inserts the request's instances into \p view in place

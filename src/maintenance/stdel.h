@@ -28,22 +28,9 @@ class PlanCache;
 
 namespace maint {
 
-/// \brief Counters of one StDel run.
+/// \brief Counters of one StDel run (declared in core/counters.h).
 struct StDelStats {
-  size_t del_elements = 0;
-  size_t pout_pairs = 0;      ///< pairs pushed into P_OUT
-  size_t replacements = 0;    ///< constraint replacements (step 2 + step 3)
-  size_t step2_replacements = 0;  ///< direct Del-overlap subtractions
-  size_t removed_unsolvable = 0;
-  int64_t plan_cache_hits = 0;  ///< step-3 clause plans served from cache
-  // Parallel fan-out shape of the step-3 lift checks: these depend on
-  // num_threads (the propagation counters above never do).
-  int64_t partitions_run = 0;   ///< lift-item shards executed as tasks
-  int64_t partition_skipped_small = 0;  ///< parent sweeps left sequential:
-                                        ///  below the shard threshold
-  int64_t evaluator_clones = 0;  ///< lift checks that called the
-                                 ///  (read-safe) evaluator from a worker
-  SolveStats solver;
+  MMV_COUNTERS(StDelStats, MMV_STDEL_COUNTERS)
 
   /// \brief Replacements generated by support propagation alone.
   size_t step3_replacements() const {

@@ -322,6 +322,71 @@ TEST(BatchTest, PerPhaseCountersOnChain) {
   EXPECT_EQ(seq_stats.insertion_pass_atoms, stats.insertion_pass_atoms);
 }
 
+TEST(BatchTest, SequentialReportsEveryPassCounter) {
+  // The bench_batch mixed chain burst: K/2 deletions of chain facts, then
+  // K/2 inserts of fresh ones. ApplyUpdatesSequential must report, for
+  // every counter of the shared pass list and every fast-path screen, the
+  // sum of what its single-update passes report when run by hand.
+  const int k = 8, width = 40;
+  TestWorld w = TestWorld::Make();
+  Program p = workload::MakeChain(4, width);
+  std::vector<maint::Update> burst;
+  for (int i = 0; i < k / 2; ++i) {
+    burst.push_back(Del("p0(X) <- X = " + std::to_string(i) + ".", &p));
+  }
+  for (int i = 0; i < k / 2; ++i) {
+    burst.push_back(
+        Ins("p0(X) <- X = " + std::to_string(width + i) + ".", &p));
+  }
+  const View base = MaterializeOrDie(p, w.domains.get());
+  const FixpointOptions opts;
+
+  View seq_view = base;
+  int seq_ext = 0;
+  maint::BatchStats seq;
+  ASSERT_TRUE(maint::ApplyUpdatesSequential(p, &seq_view, burst,
+                                            w.domains.get(), opts, &seq,
+                                            &seq_ext)
+                  .ok());
+
+  View by_hand = base;
+  int ext = 0;
+  FixpointStats passes;  // the shared pass list, summed over the passes
+  SolveStats screens;    // every pass solver's counters, summed
+  for (const maint::Update& u : burst) {
+    if (u.kind == maint::Update::Kind::kDelete) {
+      maint::StDelStats s;
+      ASSERT_TRUE(maint::DeleteStDel(p, &by_hand, u.atom, w.domains.get(),
+                                     opts.solver, &s)
+                      .ok());
+#define MMV_ADD_PASS(type, name, cls, doc) passes.name += s.name;
+      MMV_PASS_COUNTERS(MMV_ADD_PASS)
+#undef MMV_ADD_PASS
+      screens += s.solver;
+    } else {
+      maint::InsertStats s;
+      ASSERT_TRUE(maint::InsertAtom(p, &by_hand, u.atom, w.domains.get(),
+                                    opts, &s, &ext)
+                      .ok());
+      passes += s.unfold;
+      screens += s.solver;
+      screens += s.unfold.solver;
+    }
+  }
+  EXPECT_EQ(Instances(seq_view, w.domains.get()),
+            Instances(by_hand, w.domains.get()));
+#define MMV_EXPECT_SUMMED(type, name, cls, doc) \
+  EXPECT_EQ(seq.name, passes.name) << #name;
+  MMV_PASS_COUNTERS(MMV_EXPECT_SUMMED)
+#undef MMV_EXPECT_SUMMED
+#define MMV_EXPECT_SUMMED(type, name, cls, doc) \
+  EXPECT_EQ(seq.name, screens.name) << #name;
+  MMV_SAT_COUNTERS(MMV_EXPECT_SUMMED)
+#undef MMV_EXPECT_SUMMED
+  // Not vacuous: the passes do reuse compiled plans.
+  EXPECT_GT(passes.plan_cache_hits, 0);
+}
+
 // ---------------------------------------------------------------------------
 // External-support numbering.
 

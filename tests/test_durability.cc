@@ -446,7 +446,6 @@ TEST(DurableLogTest, CommitAndRecoverRoundTrip) {
   EXPECT_EQ(info.checkpoint_epoch, 1u);
   EXPECT_EQ(info.recovered_epoch, 3u);
   EXPECT_EQ(info.replayed_bursts, 2);
-  EXPECT_EQ(info.replay_stats.recovery_replayed_bursts, 2);
   EXPECT_EQ(info.torn_tail_bytes, 0u);
   EXPECT_EQ(recovered_snapshots.epoch(), 3u);
   EXPECT_EQ(CanonicalState(recovered->TakeRecoveredView()),

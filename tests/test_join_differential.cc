@@ -551,10 +551,13 @@ void RunContinuationDifferential(DupSemantics semantics, uint64_t seed_base) {
         << "seed " << seed << " (fastpath off)";
     EXPECT_EQ(seq_stats.add_atoms, fp_off_stats.add_atoms);
     EXPECT_EQ(seq_stats.atoms_added, fp_off_stats.atoms_added);
-    EXPECT_EQ(seq_stats.unfold_derivations, fp_off_stats.unfold_derivations);
-    EXPECT_EQ(seq_stats.index_probes, fp_off_stats.index_probes);
-    EXPECT_EQ(seq_stats.ground_rejects, fp_off_stats.ground_rejects);
-    EXPECT_EQ(seq_stats.rename_skipped, fp_off_stats.rename_skipped);
+    EXPECT_EQ(seq_stats.unfold.derivations_attempted,
+              fp_off_stats.unfold.derivations_attempted);
+    EXPECT_EQ(seq_stats.unfold.index_probes, fp_off_stats.unfold.index_probes);
+    EXPECT_EQ(seq_stats.unfold.ground_rejects,
+              fp_off_stats.unfold.ground_rejects);
+    EXPECT_EQ(seq_stats.unfold.rename_skipped,
+              fp_off_stats.unfold.rename_skipped);
     EXPECT_EQ(fp_off_stats.solver.sat_prechecks, 0);
     EXPECT_EQ(fp_off_stats.solver.sat_rejects, 0);
     EXPECT_EQ(fp_off_stats.solver.reject_cache_hits, 0);
@@ -572,10 +575,13 @@ void RunContinuationDifferential(DupSemantics semantics, uint64_t seed_base) {
           << "seed " << seed << " num_threads " << threads;
       EXPECT_EQ(seq_stats.add_atoms, par_stats.add_atoms);
       EXPECT_EQ(seq_stats.atoms_added, par_stats.atoms_added);
-      EXPECT_EQ(seq_stats.unfold_derivations, par_stats.unfold_derivations);
-      EXPECT_EQ(seq_stats.index_probes, par_stats.index_probes);
-      EXPECT_EQ(seq_stats.ground_rejects, par_stats.ground_rejects);
-      EXPECT_EQ(seq_stats.rename_skipped, par_stats.rename_skipped);
+      EXPECT_EQ(seq_stats.unfold.derivations_attempted,
+                par_stats.unfold.derivations_attempted);
+      EXPECT_EQ(seq_stats.unfold.index_probes, par_stats.unfold.index_probes);
+      EXPECT_EQ(seq_stats.unfold.ground_rejects,
+                par_stats.unfold.ground_rejects);
+      EXPECT_EQ(seq_stats.unfold.rename_skipped,
+                par_stats.unfold.rename_skipped);
     }
     if (::testing::Test::HasFailure()) return;
   }

@@ -581,8 +581,9 @@ TEST(ParallelStrataTest, NonReadSafeEvaluatorRunsOnOneThread) {
   EXPECT_EQ(seq.materialize.iterations, par.materialize.iterations);
   EXPECT_EQ(seq.insert.add_atoms, par.insert.add_atoms);
   EXPECT_EQ(seq.insert.atoms_added, par.insert.atoms_added);
-  EXPECT_EQ(seq.insert.unfold_derivations, par.insert.unfold_derivations);
-  EXPECT_EQ(seq.insert.index_probes, par.insert.index_probes);
+  EXPECT_EQ(seq.insert.unfold.derivations_attempted,
+            par.insert.unfold.derivations_attempted);
+  EXPECT_EQ(seq.insert.unfold.index_probes, par.insert.unfold.index_probes);
   EXPECT_EQ(seq.batch.del_elements, par.batch.del_elements);
   EXPECT_EQ(seq.batch.replacements, par.batch.replacements);
   EXPECT_EQ(seq.batch.step3_replacements, par.batch.step3_replacements);
@@ -593,8 +594,8 @@ TEST(ParallelStrataTest, NonReadSafeEvaluatorRunsOnOneThread) {
   // Nothing fanned out: no shards, no worker-side evaluator use.
   EXPECT_EQ(par.materialize.partitions_run, 0);
   EXPECT_EQ(par.materialize.evaluator_clones, 0);
-  EXPECT_EQ(par.insert.partitions_run, 0);
-  EXPECT_EQ(par.insert.evaluator_clones, 0);
+  EXPECT_EQ(par.insert.unfold.partitions_run, 0);
+  EXPECT_EQ(par.insert.unfold.evaluator_clones, 0);
   EXPECT_EQ(par.batch.partitions_run, 0);
   EXPECT_EQ(par.batch.evaluator_clones, 0);
 }
