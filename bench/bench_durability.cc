@@ -112,9 +112,9 @@ BENCHMARK(BM_WalOverhead)
 
 // One checkpoint frame, full vs delta: every iteration advances the epoch
 // with a paused 2-update burst on chain 0 of an 8-chain view, then times
-// ONE Checkpoint call. Mode 0 forces a full frame — serialize all 32
-// predicates, the pre-delta format and cost. Mode 1 writes a delta
-// against the previous frame's image: just the 4 chain-0 segments the
+// ONE Checkpoint call. Mode 0 forces a full frame — the delta against
+// the empty image: all 32 predicates' segments plus every order run.
+// Mode 1 writes a delta against the previous frame's image: just the 4 chain-0 segments the
 // burst dirtied, plus the order runs. The delta flag is the FIRST arg on
 // purpose (the sidecar comparator pairs names ending in /0 vs /1 as
 // same-work twins, and checkpoint_bytes legitimately differs); widths

@@ -21,6 +21,9 @@ std::string_view Trim(std::string_view s);
 /// \brief True iff \p s starts with \p prefix.
 bool StartsWith(std::string_view s, std::string_view prefix);
 
+/// \brief True iff \p s ends with \p suffix.
+bool EndsWith(std::string_view s, std::string_view suffix);
+
 /// \brief printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

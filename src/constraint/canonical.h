@@ -26,7 +26,7 @@
 
 namespace mmv {
 
-/// \brief A 128-bit fingerprint of a canonical rendering. Collisions are
+/// \brief A 128-bit hash of a canonical rendering. Collisions are
 /// astronomically unlikely — the halves come from two STRUCTURALLY
 /// different byte passes (xor-multiply vs add-multiply-rotate) finalized
 /// through full-avalanche mixes, so their bits are independent (the naive
@@ -55,7 +55,7 @@ struct CanonicalKey {
 /// Same canonical form as CanonicalAtomString — simplify, sort literals by a
 /// variable-insensitive key, rename variables by first appearance — but the
 /// rendering goes into the caller's reusable \p scratch buffer and only the
-/// 128-bit fingerprint survives, so a dedup set holds no strings.
+/// 128-bit hash survives, so a dedup set holds no strings.
 ///
 /// \p assume_simplified skips the internal SimplifyAtom pass; callers may
 /// set it when (args, c) already went through SimplifyAtom (the pass is

@@ -22,7 +22,6 @@
 #ifndef MMV_CORE_SNAPSHOT_IMAGE_H_
 #define MMV_CORE_SNAPSHOT_IMAGE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -40,36 +39,7 @@ using SnapshotImageHandle = std::shared_ptr<const SnapshotImage>;
 
 struct SnapshotImage {
   /// One predicate's atoms, in posting-list (ascending live-index) order.
-  ///
-  /// Carries a lazily computed content fingerprint: segment SHARING is
-  /// proven by pointer identity, but a maintenance pass that re-materializes
-  /// a predicate with unchanged content (e.g. a fully-canceling burst)
-  /// breaks pointer equality while the bytes stayed the same. Consumers
-  /// that diff segments across epochs (delta checkpoints) hash the
-  /// canonical serialization once per segment, cache it here, and fall
-  /// back to a byte compare only on fingerprint equality — so an
-  /// equal-content segment costs one serialization instead of a frame
-  /// member. 0 means "not computed yet"; the cache is atomic because
-  /// images are immutable shared data read from any thread, and it is
-  /// deliberately NOT copied (a copy's contents may diverge afterwards).
-  struct Segment : std::vector<ViewAtom> {
-    using std::vector<ViewAtom>::vector;
-    Segment() = default;
-    Segment(const Segment& other) : std::vector<ViewAtom>(other) {}
-    Segment(Segment&& other) noexcept
-        : std::vector<ViewAtom>(std::move(other)) {}
-    Segment& operator=(const Segment& other) {
-      std::vector<ViewAtom>::operator=(other);
-      fingerprint.store(0, std::memory_order_relaxed);
-      return *this;
-    }
-    Segment& operator=(Segment&& other) noexcept {
-      std::vector<ViewAtom>::operator=(std::move(other));
-      fingerprint.store(0, std::memory_order_relaxed);
-      return *this;
-    }
-    mutable std::atomic<uint64_t> fingerprint{0};
-  };
+  using Segment = std::vector<ViewAtom>;
   using SegmentHandle = std::shared_ptr<const Segment>;
 
   /// One run of the global atom order: the next \p count atoms belong to

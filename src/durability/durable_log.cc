@@ -2,27 +2,16 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
-#include <unordered_map>
 #include <utility>
 
 #include "common/crc32c.h"
+#include "common/strings.h"
 #include "parser/view_io.h"
 
 namespace mmv {
 namespace durability {
 
 namespace {
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() &&
-         s.compare(0, prefix.size(), prefix) == 0;
-}
 
 std::vector<parser::ParsedUpdate> ToParsed(
     const std::vector<maint::Update>& updates) {
@@ -49,313 +38,6 @@ std::vector<maint::Update> ToUpdates(
                           : maint::Update::Insert(std::move(atom)));
   }
   return updates;
-}
-
-Result<uint64_t> ParseU64(std::string_view s, std::string_view what) {
-  if (s.empty()) {
-    return Status::ParseError("delta checkpoint: empty " + std::string(what));
-  }
-  uint64_t v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') {
-      return Status::ParseError("delta checkpoint: bad " + std::string(what) +
-                                " '" + std::string(s) + "'");
-    }
-    v = v * 10 + static_cast<uint64_t>(c - '0');
-  }
-  return v;
-}
-
-// ---------------------------------------------------------------------------
-// Delta checkpoint bodies. A delta frame records, against its PARENT's
-// composed image: the predicates that vanished, the full new contents of
-// every segment that changed (detected by shared_ptr identity — a shared
-// segment is bit-identical by construction), and the new global atom order
-// as a kept-prefix length plus (pred, count) runs. Within one predicate
-// the global order equals segment order, so runs need no offsets.
-
-// Content fingerprint of a segment's canonical serialization, cached on
-// the segment (see SnapshotImage::Segment). FNV-1a; 0 is reserved for
-// "not computed", so a genuine 0 hash is nudged to 1.
-uint64_t SegmentFingerprint(const SnapshotImage::Segment& seg) {
-  uint64_t cached = seg.fingerprint.load(std::memory_order_relaxed);
-  if (cached != 0) return cached;
-  std::string bytes = parser::SerializeAtoms(seg);
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  if (h == 0) h = 1;
-  seg.fingerprint.store(h, std::memory_order_relaxed);
-  return h;
-}
-
-std::string BuildDeltaBody(const SnapshotImage& parent,
-                           const SnapshotImage& child) {
-  std::ostringstream os;
-  std::vector<Symbol> removed;
-  for (const auto& [pred, seg] : parent.segments) {
-    if (child.segments.find(pred) == child.segments.end()) {
-      removed.push_back(pred);
-    }
-  }
-  std::sort(removed.begin(), removed.end());  // name order: deterministic
-  for (Symbol pred : removed) os << "removed " << pred.name() << "\n";
-
-  std::vector<Symbol> changed;
-  for (const auto& [pred, seg] : child.segments) {
-    auto it = parent.segments.find(pred);
-    if (it == parent.segments.end()) {
-      changed.push_back(pred);
-      continue;
-    }
-    // Shared pointer: bit-identical by construction. Distinct pointers: a
-    // fully-canceling burst re-materializes the segment with unchanged
-    // content, so compare fingerprints and — on a match, since the hash
-    // alone could collide — bytes, before paying for a frame member.
-    // Composition then keeps the parent's equal-content segment.
-    if (it->second == seg) continue;
-    if (SegmentFingerprint(*it->second) == SegmentFingerprint(*seg) &&
-        parser::SerializeAtoms(*it->second) == parser::SerializeAtoms(*seg)) {
-      continue;
-    }
-    changed.push_back(pred);
-  }
-  std::sort(changed.begin(), changed.end());
-  for (Symbol pred : changed) {
-    const SnapshotImage::Segment& seg = *child.segments.at(pred);
-    os << "seg " << pred.name() << " " << seg.size() << "\n";
-    os << parser::SerializeAtoms(seg);
-  }
-
-  // Order: the chunk-pointer prefix both images share needs no re-listing.
-  uint64_t keep = 0;
-  size_t shared_chunks = 0;
-  while (shared_chunks < child.order.size() &&
-         shared_chunks < parent.order.size() &&
-         child.order[shared_chunks].runs == parent.order[shared_chunks].runs) {
-    keep += child.order[shared_chunks].atoms;
-    ++shared_chunks;
-  }
-  os << "order keep " << keep << "\n";
-  Symbol run_pred;
-  uint64_t run_count = 0;
-  auto flush_run = [&] {
-    if (run_count > 0) {
-      os << "order run " << run_pred.name() << " " << run_count << "\n";
-    }
-  };
-  for (size_t c = shared_chunks; c < child.order.size(); ++c) {
-    for (const SnapshotImage::OrderRun& run : *child.order[c].runs) {
-      if (run_count > 0 && run.pred == run_pred) {
-        run_count += run.count;
-      } else {
-        flush_run();
-        run_pred = run.pred;
-        run_count = run.count;
-      }
-    }
-  }
-  flush_run();
-  return os.str();
-}
-
-// The working state a checkpoint chain composes into: mutable per-pred
-// segments plus the flattened global-order runs.
-struct ComposedState {
-  std::unordered_map<Symbol, std::vector<ViewAtom>> segments;
-  std::vector<SnapshotImage::OrderRun> order;
-};
-
-Result<ComposedState> FromFullBody(const std::string& body,
-                                   Program* program) {
-  MMV_ASSIGN_OR_RETURN(View tmp, parser::DeserializeView(body, program));
-  ComposedState state;
-  std::vector<ViewAtom> atoms = tmp.TakeAtoms();
-  for (ViewAtom& a : atoms) {
-    if (!state.order.empty() && state.order.back().pred == a.pred) {
-      state.order.back().count++;
-    } else {
-      state.order.push_back({a.pred, 1});
-    }
-    state.segments[a.pred].push_back(std::move(a));
-  }
-  return state;
-}
-
-// Line cursor over a delta body; keeps byte offsets so a seg section's raw
-// text can be sliced out for DeserializeView.
-struct LineCursor {
-  std::string_view text;
-  size_t at = 0;
-  bool Next(std::string_view* line) {
-    if (at >= text.size()) return false;
-    size_t eol = text.find('\n', at);
-    if (eol == std::string_view::npos) {
-      *line = text.substr(at);
-      at = text.size();
-    } else {
-      *line = text.substr(at, eol - at);
-      at = eol + 1;
-    }
-    return true;
-  }
-};
-
-// Splits "name count" (count = trailing integer field).
-Result<std::pair<Symbol, uint64_t>> ParsePredCount(std::string_view rest,
-                                                   std::string_view what) {
-  size_t sp = rest.rfind(' ');
-  if (sp == std::string_view::npos || sp == 0) {
-    return Status::ParseError("delta checkpoint: malformed " +
-                              std::string(what) + " line");
-  }
-  MMV_ASSIGN_OR_RETURN(uint64_t count, ParseU64(rest.substr(sp + 1), what));
-  return std::make_pair(Symbol(rest.substr(0, sp)), count);
-}
-
-// Applies one delta frame's body over \p state. Strict: any structural
-// surprise (unknown removed pred, truncated section, order mismatch, atom
-// count disagreeing with the header) is corruption, reported as a
-// ParseError so recovery abandons this chain and falls back.
-Status ApplyDeltaBody(std::string_view body, Program* program,
-                      const DeltaCheckpointMeta& meta, ComposedState* state) {
-  LineCursor cur{body};
-  std::string_view line;
-  bool have_line = cur.Next(&line);
-
-  while (have_line && StartsWith(line, "removed ")) {
-    Symbol pred(line.substr(8));
-    if (state->segments.erase(pred) == 0) {
-      return Status::ParseError(
-          "delta checkpoint removes unknown predicate '" + pred.name() + "'");
-    }
-    have_line = cur.Next(&line);
-  }
-
-  while (have_line && StartsWith(line, "seg ")) {
-    MMV_ASSIGN_OR_RETURN(auto pred_count,
-                         ParsePredCount(line.substr(4), "seg count"));
-    const auto [pred, count] = pred_count;
-    size_t start = cur.at;
-    for (uint64_t i = 0; i < count; ++i) {
-      if (!cur.Next(&line)) {
-        return Status::ParseError(
-            "delta checkpoint: seg section for '" + pred.name() +
-            "' truncated");
-      }
-    }
-    MMV_ASSIGN_OR_RETURN(
-        View tmp,
-        parser::DeserializeView(body.substr(start, cur.at - start), program));
-    std::vector<ViewAtom> seg = tmp.TakeAtoms();
-    if (seg.size() != count) {
-      return Status::ParseError("delta checkpoint: seg section for '" +
-                                pred.name() + "' parsed to a different count");
-    }
-    for (const ViewAtom& a : seg) {
-      if (a.pred != pred) {
-        return Status::ParseError(
-            "delta checkpoint: seg section for '" + pred.name() +
-            "' holds an atom of '" + a.pred.name() + "'");
-      }
-    }
-    state->segments[pred] = std::move(seg);
-    have_line = cur.Next(&line);
-  }
-
-  if (!have_line || !StartsWith(line, "order keep ")) {
-    return Status::ParseError(
-        "delta checkpoint: missing 'order keep' line");
-  }
-  MMV_ASSIGN_OR_RETURN(uint64_t keep,
-                       ParseU64(line.substr(11), "order keep"));
-  std::vector<SnapshotImage::OrderRun> new_order;
-  uint64_t remaining = keep;
-  for (const SnapshotImage::OrderRun& run : state->order) {
-    if (remaining == 0) break;
-    uint64_t take = std::min<uint64_t>(run.count, remaining);
-    if (!new_order.empty() && new_order.back().pred == run.pred) {
-      new_order.back().count += take;
-    } else {
-      new_order.push_back({run.pred, take});
-    }
-    remaining -= take;
-  }
-  if (remaining > 0) {
-    return Status::ParseError(
-        "delta checkpoint: 'order keep' exceeds the parent's atom order");
-  }
-  while (cur.Next(&line)) {
-    if (!StartsWith(line, "order run ")) {
-      return Status::ParseError("delta checkpoint: unexpected line '" +
-                                std::string(line) + "'");
-    }
-    MMV_ASSIGN_OR_RETURN(auto pred_count,
-                         ParsePredCount(line.substr(10), "order run"));
-    const auto [pred, count] = pred_count;
-    if (!new_order.empty() && new_order.back().pred == pred) {
-      new_order.back().count += count;
-    } else {
-      new_order.push_back({pred, count});
-    }
-  }
-  state->order = std::move(new_order);
-
-  uint64_t order_total = 0;
-  for (const SnapshotImage::OrderRun& run : state->order) {
-    order_total += run.count;
-  }
-  uint64_t segment_total = 0;
-  for (const auto& [pred, seg] : state->segments) {
-    segment_total += seg.size();
-  }
-  if (order_total != segment_total || order_total != meta.atoms) {
-    return Status::ParseError(
-        "delta checkpoint: composed atom counts disagree (order " +
-        std::to_string(order_total) + ", segments " +
-        std::to_string(segment_total) + ", header " +
-        std::to_string(meta.atoms) + ")");
-  }
-  return Status::OK();
-}
-
-// Materializes the composed state into a View, re-Adding atoms in the
-// recorded global order (the order is load-bearing: continued maintenance
-// is byte-identical only if the rebuilt view enumerates like the original).
-// Consumes \p state: atoms are MOVED into the view per-pred as the order
-// cursor passes them, so the peak is one view plus segment shells — not
-// the composed state and a full copy side by side.
-Result<View> BuildView(ComposedState* state) {
-  View view;
-  std::unordered_map<Symbol, size_t> cursor;
-  for (const SnapshotImage::OrderRun& run : state->order) {
-    auto it = state->segments.find(run.pred);
-    if (it == state->segments.end()) {
-      return Status::ParseError(
-          "delta checkpoint: atom order names unknown predicate '" +
-          run.pred.name() + "'");
-    }
-    size_t& at = cursor[run.pred];
-    if (at + run.count > it->second.size()) {
-      return Status::ParseError(
-          "delta checkpoint: atom order overruns the segment of '" +
-          run.pred.name() + "'");
-    }
-    for (uint64_t i = 0; i < run.count; ++i) {
-      view.Add(std::move(it->second[at++]));
-    }
-  }
-  for (const auto& [pred, seg] : state->segments) {
-    auto it = cursor.find(pred);
-    if (it == cursor.end() || it->second != seg.size()) {
-      return Status::ParseError(
-          "delta checkpoint: atom order does not cover the segment of '" +
-          pred.name() + "'");
-    }
-  }
-  return view;
 }
 
 // One checkpoint file (either kind) found on disk.
@@ -457,89 +139,69 @@ Result<std::unique_ptr<DurableLog>> DurableLog::Recover(
   // distance.
   const uint64_t newest_claimed = ckpts.front().epoch;
 
+  // Reads one frame and applies the per-frame checks: the decoder's
+  // (CRC, epoch vs name, parent vs kind) and the program CRC. \p bytes
+  // (optional) receives the file size.
+  auto read_frame = [&](const CkptFile& frame, std::string* body,
+                        int64_t* bytes) -> Result<CheckpointMeta> {
+    MMV_ASSIGN_OR_RETURN(std::string data,
+                         fs->ReadFile(log->PathFor(frame.name)));
+    if (bytes != nullptr) *bytes = static_cast<int64_t>(data.size());
+    MMV_ASSIGN_OR_RETURN(CheckpointMeta meta,
+                         DecodeCheckpoint(frame.name, data, body));
+    if (meta.program_crc != log->program_crc_) {
+      return Status::InvalidArgument(
+          "durability recovery refused: " + frame.name +
+          " was written for a different program (clause-set CRC mismatch)");
+    }
+    return meta;
+  };
+
   // Resolves and composes the chain under \p head. Corruption anywhere in
   // the chain is a ParseError (the caller falls back to the next head);
-  // a program fingerprint mismatch or an IO failure propagates loudly.
+  // a program CRC mismatch or an IO failure propagates loudly.
   auto load_chain = [&](const CkptFile& head) -> Result<LoadedChain> {
     LoadedChain out;
     out.head_epoch = head.epoch;
-    // Walk parent links down to a full image, newest last. Only the chain
-    // SHAPE (epochs) is retained: holding every frame's decoded body here
-    // would keep the whole chain in memory at once, so the compose loop
-    // below re-reads each file in parent-first order instead and the peak
-    // stays one composed view plus a single frame.
-    std::vector<uint64_t> delta_epochs_newest_first;
-    uint64_t cursor_epoch = head.epoch;
-    bool cursor_delta = head.is_delta;
-    while (cursor_delta) {
-      MMV_ASSIGN_OR_RETURN(
-          std::string data,
-          fs->ReadFile(log->PathFor(DeltaCheckpointFileName(cursor_epoch))));
+    // Walk parent links down to a full frame. Only the chain SHAPE is
+    // retained: holding every frame's body here would keep the whole chain
+    // in memory at once, so the compose loop below re-reads each frame
+    // oldest first and the peak stays one composed view plus one frame.
+    std::vector<CkptFile> chain = {head};  // newest first
+    while (chain.back().is_delta) {
       std::string body;
-      MMV_ASSIGN_OR_RETURN(DeltaCheckpointMeta meta,
-                           DecodeDeltaCheckpoint(data, &body));
-      if (meta.program_crc != log->program_crc_) {
-        return Status::InvalidArgument(
-            "durability recovery refused: delta checkpoint was written for "
-            "a different program (clause-set fingerprint mismatch)");
-      }
-      if (meta.epoch != cursor_epoch || meta.parent >= cursor_epoch) {
-        return Status::ParseError(
-            "delta checkpoint " + DeltaCheckpointFileName(cursor_epoch) +
-            " header disagrees with its name or parents forward");
-      }
-      out.delta_bytes += static_cast<int64_t>(data.size());
-      delta_epochs_newest_first.push_back(cursor_epoch);
-      cursor_epoch = meta.parent;
-      if (full_epochs.count(cursor_epoch) > 0) {
-        cursor_delta = false;
-      } else if (delta_epochs.count(cursor_epoch) > 0) {
-        cursor_delta = true;
+      int64_t bytes = 0;
+      MMV_ASSIGN_OR_RETURN(CheckpointMeta meta,
+                           read_frame(chain.back(), &body, &bytes));
+      out.delta_bytes += bytes;
+      const uint64_t parent = *meta.parent;
+      if (full_epochs.count(parent) > 0) {
+        chain.push_back({parent, /*is_delta=*/false,
+                         CheckpointFileName(parent)});
+      } else if (delta_epochs.count(parent) > 0) {
+        chain.push_back({parent, /*is_delta=*/true,
+                         DeltaCheckpointFileName(parent)});
       } else {
         return Status::ParseError(
-            "delta checkpoint chain is missing its parent at epoch " +
-            std::to_string(cursor_epoch));
+            "checkpoint chain is missing its parent at epoch " +
+            std::to_string(parent));
       }
     }
+    out.full_epoch = chain.back().epoch;
 
+    // Compose from the empty state: the full frame is the delta against
+    // the empty image, every later frame a delta against its parent. The
+    // walk validated the deltas already; re-decoding revalidates for free
+    // (the file could in principle change between the reads).
     ComposedState state;
-    {
-      // Scoped so the full body's bytes are released before any delta
-      // frame is read back.
-      MMV_ASSIGN_OR_RETURN(
-          std::string data,
-          fs->ReadFile(log->PathFor(CheckpointFileName(cursor_epoch))));
-      std::string full_body;
-      CheckpointMeta full_meta;
-      MMV_ASSIGN_OR_RETURN(full_meta, DecodeCheckpoint(data, &full_body));
-      if (full_meta.program_crc != log->program_crc_) {
-        return Status::InvalidArgument(
-            "durability recovery refused: checkpoint was written for a "
-            "different program (clause-set fingerprint mismatch)");
-      }
-      out.full_epoch = cursor_epoch;
-      data.clear();
-      data.shrink_to_fit();
-      MMV_ASSIGN_OR_RETURN(state, FromFullBody(full_body, program));
-      out.ext_counter = full_meta.ext_counter;
-    }
-    for (auto it = delta_epochs_newest_first.rbegin();
-         it != delta_epochs_newest_first.rend(); ++it) {
-      MMV_ASSIGN_OR_RETURN(
-          std::string data,
-          fs->ReadFile(log->PathFor(DeltaCheckpointFileName(*it))));
+    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
       std::string body;
-      // The walk above already validated this frame's header and CRC; the
-      // re-decode revalidates for free (the file could in principle change
-      // between the reads).
-      MMV_ASSIGN_OR_RETURN(DeltaCheckpointMeta meta,
-                           DecodeDeltaCheckpoint(data, &body));
-      data.clear();
-      data.shrink_to_fit();
+      MMV_ASSIGN_OR_RETURN(CheckpointMeta meta,
+                           read_frame(*it, &body, /*bytes=*/nullptr));
       MMV_RETURN_NOT_OK(ApplyDeltaBody(body, program, meta, &state));
       out.ext_counter = meta.ext_counter;
-      ++out.deltas_composed;
     }
+    out.deltas_composed = static_cast<int64_t>(chain.size()) - 1;
     MMV_ASSIGN_OR_RETURN(out.view, BuildView(&state));
     return out;
   };
@@ -725,12 +387,7 @@ void DurableLog::AbortBurst() {
 }
 
 Status DurableLog::Checkpoint(const View& view, CheckpointKind kind) {
-  return CheckpointImage(view.ExtractImage(), kind);
-}
-
-Status DurableLog::CheckpointImage(SnapshotImageHandle image,
-                                   CheckpointKind kind) {
-  return WriteCheckpoint(std::move(image), kind, nullptr);
+  return WriteCheckpoint(view.ExtractImage(), kind, nullptr);
 }
 
 Status DurableLog::WriteCheckpoint(SnapshotImageHandle image,
@@ -762,32 +419,22 @@ Status DurableLog::WriteCheckpoint(SnapshotImageHandle image,
            checkpoints_since_full_ + 1 >= options_.full_checkpoint_interval;
   }
 
-  std::string file;
-  std::string final_path;
-  if (full) {
-    CheckpointMeta meta;
-    meta.epoch = epoch;
-    meta.ext_counter = ext_counter_;
-    meta.program_crc = program_crc_;
-    meta.wal_offset = wal_ != nullptr ? wal_->end_offset() : 0;
-    meta.atoms = image->atom_count;
-    file = EncodeCheckpoint(meta, parser::SerializeImage(*image));
-    final_path = PathFor(CheckpointFileName(epoch));
-  } else {
-    DeltaCheckpointMeta meta;
-    meta.epoch = epoch;
-    meta.parent = last_checkpoint_epoch_;
-    meta.ext_counter = ext_counter_;
-    meta.program_crc = program_crc_;
-    meta.wal_offset = wal_ != nullptr ? wal_->end_offset() : 0;
-    meta.atoms = image->atom_count;
-    file = EncodeDeltaCheckpoint(meta,
-                                 BuildDeltaBody(*last_checkpoint_image_,
-                                                *image));
-    final_path = PathFor(DeltaCheckpointFileName(epoch));
-    if (delta_bytes != nullptr) {
-      *delta_bytes = static_cast<int64_t>(file.size());
-    }
+  // One frame format: a full frame is the delta against the empty image.
+  static const SnapshotImage kEmptyImage;
+  CheckpointMeta meta;
+  meta.epoch = epoch;
+  if (!full) meta.parent = last_checkpoint_epoch_;
+  meta.ext_counter = ext_counter_;
+  meta.program_crc = program_crc_;
+  meta.wal_offset = wal_ != nullptr ? wal_->end_offset() : 0;
+  meta.atoms = image->atom_count;
+  const std::string file = EncodeCheckpoint(
+      meta, BuildDeltaBody(full ? kEmptyImage : *last_checkpoint_image_,
+                           *image));
+  const std::string final_path = PathFor(
+      full ? CheckpointFileName(epoch) : DeltaCheckpointFileName(epoch));
+  if (!full && delta_bytes != nullptr) {
+    *delta_bytes = static_cast<int64_t>(file.size());
   }
 
   const std::string tmp_path = final_path + ".tmp";

@@ -5,23 +5,28 @@
 //
 // State directory layout:
 //
-//   ckpt-<epoch>.mmv   FULL checkpoint files (newest `keep_checkpoints`
-//                      full images kept)
-//   dckpt-<epoch>.mmv  DELTA checkpoint files: what changed since the
+//   ckpt-<epoch>.mmv   FULL checkpoint frames: deltas against the empty
+//                      image (newest `keep_checkpoints` kept)
+//   dckpt-<epoch>.mmv  DELTA checkpoint frames: what changed since the
 //                      `parent` checkpoint named in the header — written
-//                      between full-image cadence boundaries
+//                      between full-frame cadence boundaries
 //                      (full_checkpoint_interval), so steady-state
 //                      checkpoint cost is O(delta), not O(view)
 //   wal-<base>.log     WAL segments; wal-<E>.log holds records with
 //                      seq > E and is started by the checkpoint at E
 //                      (full or delta — both roll the segment)
-//   *.tmp              in-flight checkpoint images (never read; removed
+//   *.tmp              in-flight checkpoint frames (never read; removed
 //                      by the next recovery)
 //
-// The checkpoint writer never deep-reads the live view: CommitBurst
-// receives the SAME immutable SnapshotImage the snapshot store publishes
-// (one O(delta) extraction per batch serves readers AND durability), and
-// deltas are diffed image-against-image by segment pointer identity.
+// Both kinds share one frame format (checkpoint.h owns it: header, body
+// build, body apply, composed state -> View); this file holds only the
+// policy around it — cadence, retention GC, chain selection and WAL
+// replay. The checkpoint writer never deep-reads the live view:
+// CommitBurst receives the SAME immutable SnapshotImage the snapshot store
+// publishes (one O(delta) extraction per batch serves readers AND
+// durability), and frames are diffed image-against-image by segment
+// pointer identity — against the previous checkpoint's image for a delta,
+// against the empty image for a full frame.
 //
 // Invariants the layout maintains:
 //   - every segment base is a checkpoint epoch (Create writes the initial
@@ -29,15 +34,16 @@
 //   - record seq == the view epoch the burst produced, strictly
 //     consecutive across segments;
 //   - every delta's parent chain descends to a full checkpoint that is
-//     still on disk (retention floors at the oldest retained FULL image
+//     still on disk (retention floors at the oldest retained FULL frame
 //     and drops deltas/segments only below it), so recovery can always
 //     fall back one full checkpoint.
 //
 // Recovery contract (Recover): resolve the newest checkpoint chain that
-// validates end to end — a full image, or a delta composed over its
-// parents down to a full (structure + whole-file CRC32C + program
-// fingerprint on EVERY member; any invalid member fails the whole chain
-// and recovery falls back to the next-newest head) — then replay every
+// validates end to end — parent links followed from the head down to a
+// full frame, every member checked for structure, whole-file CRC32C,
+// epoch vs file name, parent vs kind and program CRC, then composed from
+// an empty state oldest first; any invalid member fails the whole chain
+// and recovery falls back to the next-newest head — then replay every
 // WAL record with seq above the chain head's epoch through the REAL
 // maint::ApplyBatch — same pipeline, same coalescing — publishing one
 // snapshot epoch per burst so the SnapshotStore continues the pre-crash
@@ -83,9 +89,8 @@ struct DurabilityOptions {
   /// checkpoints and WAL segments below the oldest retained full image are
   /// collected with it.
   int keep_checkpoints = 2;
-  /// Every Nth checkpoint is a FULL image; the N-1 between are deltas
-  /// against their predecessor. 1 writes only full images (the pre-delta
-  /// behavior); the default 4 bounds a recovery chain at 3 delta frames.
+  /// Every Nth checkpoint is a FULL frame; the N-1 between are deltas
+  /// against their predecessor. 1 writes only full frames; the default 4 bounds a recovery chain at 3 delta frames.
   /// The initial checkpoint (Create) and explicit same-epoch rewrites are
   /// always full.
   uint64_t full_checkpoint_interval = 4;
@@ -189,10 +194,6 @@ class DurableLog : public maint::BurstLog {
   Status Checkpoint(const View& view,
                     CheckpointKind kind = CheckpointKind::kAuto);
 
-  /// \brief Same, over an already-extracted immutable image (never null).
-  Status CheckpointImage(SnapshotImageHandle image,
-                         CheckpointKind kind = CheckpointKind::kAuto);
-
   /// \brief Forces the WAL to stable storage regardless of policy.
   Status Sync() { return wal_->SyncNow(); }
 
@@ -237,9 +238,11 @@ class DurableLog : public maint::BurstLog {
   /// Removes full checkpoints beyond keep_checkpoints, plus the delta
   /// frames and segments only they needed.
   Status CollectGarbage();
-  /// The one checkpoint writer behind Checkpoint/CheckpointImage and the
-  /// CommitBurst cadence. \p delta_bytes (optional) receives the file
-  /// size when a delta frame was written, 0 for a full frame.
+  /// The one checkpoint writer behind Checkpoint and the CommitBurst
+  /// cadence: builds one meta and diffs \p image against its base — the
+  /// previous checkpoint's image, or the empty image for a full frame.
+  /// \p delta_bytes (optional) receives the file size when a delta frame
+  /// was written, 0 for a full frame.
   Status WriteCheckpoint(SnapshotImageHandle image, CheckpointKind kind,
                          int64_t* delta_bytes);
 
@@ -257,8 +260,8 @@ class DurableLog : public maint::BurstLog {
   int64_t checkpoints_written_ = 0;
   int64_t delta_checkpoints_written_ = 0;
   uint64_t last_checkpoint_bytes_ = 0;
-  // The previous checkpoint's image: the parent delta frames diff
-  // against. Never read for full frames; reset by Recover to the
+  // The previous checkpoint's image: the base delta frames diff against
+  // (full frames diff against the empty image); reset by Recover to the
   // recomposed image so post-recovery deltas have a valid parent.
   SnapshotImageHandle last_checkpoint_image_;
   uint64_t checkpoints_since_full_ = 0;

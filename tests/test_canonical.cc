@@ -89,7 +89,7 @@ TEST(CanonicalTest, NotBlockOrderInvariance) {
             CanonicalAtomString("p", {V(0)}, b));
 }
 
-// ---- 128-bit fingerprint quality ------------------------------------------
+// ---- 128-bit hash quality ------------------------------------------------
 //
 // The dedup sets and the solver memo treat CanonicalKey equality as atom
 // equality, so the two 64-bit halves must behave like independent hashes.

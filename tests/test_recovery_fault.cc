@@ -5,7 +5,7 @@
 // counters and snapshot epoch all byte-identical to an uninterrupted run.
 //
 // The oracle: a golden run over the same randomized program and bursts
-// records the canonical state fingerprint at EVERY epoch prefix (and the
+// records the canonical state at EVERY epoch prefix (and the
 // total mutating-write count W of the workload). A fault run then replays
 // the workload on a FaultFs that crashes after a chosen write in
 // [create_writes, W] — optionally tearing the crashing write so only a
@@ -14,7 +14,7 @@
 // `ok` bursts applied cleanly before the crash, the recovered epoch R must
 // be 1 + ok (the failed burst left no committed record) or 1 + ok + 1 (the
 // crash hit the checkpoint AFTER the record committed), and the recovered
-// state must equal the golden fingerprint at R. Applying the remaining
+// state must equal the golden state at R. Applying the remaining
 // bursts on the recovered timeline must then land on the golden FINAL
 // state — crash, recover, continue is indistinguishable from never
 // crashing.
@@ -123,7 +123,7 @@ Scenario MakeScenario(uint64_t seed, DupSemantics semantics,
   return sc;
 }
 
-// Golden fingerprints, indexed by epoch: state[1] is the initial
+// Golden canonical states, indexed by epoch: state[1] is the initial
 // materialization, state[1 + k] the state after the k-th burst.
 struct Golden {
   std::vector<std::multiset<std::string>> state;
@@ -133,7 +133,7 @@ struct Golden {
 };
 
 // Runs the whole workload with durability on \p fs (no faults expected)
-// and records the per-epoch fingerprints.
+// and records the per-epoch canonical states.
 Golden BuildState(Scenario* sc, Fs* fs, const DurabilityOptions& opts,
                   FaultFs* counter = nullptr) {
   Golden g;
@@ -167,7 +167,7 @@ Golden RunGolden(Scenario* sc, const DurabilityOptions& opts) {
 }
 
 // One crash trial: run the workload under the fault plan, recover from
-// the surviving disk image, check the recovered epoch and fingerprint
+// the surviving disk image, check the recovered epoch and state
 // against the golden prefixes, then finish the workload on the recovered
 // timeline and check it reaches the golden FINAL state.
 void RunCrashTrial(Scenario* sc, const Golden& g,

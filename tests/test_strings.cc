@@ -36,6 +36,13 @@ TEST(StringsTest, StartsWith) {
   EXPECT_FALSE(StartsWith("xbc", "ab"));
 }
 
+TEST(StringsTest, EndsWith) {
+  EXPECT_TRUE(EndsWith("abcdef", "def"));
+  EXPECT_TRUE(EndsWith("abc", ""));
+  EXPECT_FALSE(EndsWith("bc", "abc"));
+  EXPECT_FALSE(EndsWith("abx", "bc"));
+}
+
 TEST(StringsTest, StrFormat) {
   EXPECT_EQ(StrFormat("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(StrFormat("%.2f", 1.005), "1.00");

@@ -101,7 +101,7 @@ inline View FoldRecompute(const Program& program,
   return Unwrap(maint::Recompute(rewritten, evaluator, options));
 }
 
-/// \brief Canonical state fingerprint of a view: the MULTISET of
+/// \brief Canonical state of a view: the MULTISET of
 /// (canonical atom, support tree, depth) triples. Variable-renaming
 /// insensitive (DeserializeView legitimately re-numbers variables) but
 /// support- and duplicate-exact — the equality the durability layer's
