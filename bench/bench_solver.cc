@@ -3,13 +3,15 @@
 // simplification of the constraints").
 //
 // Measures (a) satisfiability cost vs literal count, (b) cost vs number of
-// accumulated not-blocks (the shape repeated deletions produce), and
-// (c) constraint growth across repeated update cycles with and without
-// simplification in the fixpoint engine.
+// accumulated not-blocks (the shape repeated deletions produce), (c)
+// constraint growth across repeated update cycles with and without
+// simplification in the fixpoint engine, and (d) the solver work of one
+// W_P mediator query, where the call memo decides the domain-call count.
 
 #include "bench_util.h"
 
 #include "constraint/simplify.h"
+#include "workload/law_enforcement.h"
 
 namespace mmv {
 namespace bench {
@@ -149,6 +151,43 @@ void BM_Materialize_SimplifyOnOff(benchmark::State& state) {
   state.counters["bytes"] = static_cast<double>(last.ApproxBytes());
 }
 
+void BM_MediatorQuery_Seenwith(benchmark::State& state) {
+  // seenwith(corleone, Y) on the running example under W_P: the view keeps
+  // the domain calls, so the query decides every one of them (Corollary
+  // 1). Exports one query's solver counters: dca_evaluations is what the
+  // call memo leaves of the calls the enumeration's Solves and Analyzes
+  // make.
+  workload::LawEnforcementOptions lopts;
+  lopts.num_people = 10;
+  lopts.num_photos = 6;
+  lopts.faces_per_photo = 3;
+  auto scenario = workload::MakeLawEnforcement(lopts);
+  if (!scenario.ok()) std::abort();
+  dom::DomainManager* domains = (*scenario)->domains.get();
+  FixpointOptions fopts;
+  fopts.op = OperatorKind::kWp;
+  View view = MustMaterialize((*scenario)->mediator, domains, fopts);
+  const TermVec pattern = {Term::Const(Value((*scenario)->target)),
+                           Term::Var(0)};
+  SolveStats one;
+  size_t instances = 0;
+  for (auto _ : state) {
+    one = SolveStats();
+    query::EnumerateOptions options;
+    options.solve_stats = &one;
+    Result<query::InstanceSet> answer =
+        query::QueryPred(view, Symbol("seenwith"), pattern, domains, options);
+    if (!answer.ok()) {
+      state.SkipWithError(answer.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(answer);
+    instances = answer->instances.size();
+  }
+  ExportCounters(state, one);
+  state.counters["instances"] = static_cast<double>(instances);
+}
+
 BENCHMARK(BM_Materialize_SimplifyOnOff)
     ->Args({8, 8, 1})
     ->Args({8, 8, 0})
@@ -165,6 +204,7 @@ BENCHMARK(BM_ConstraintGrowth_DeleteCycles)
     ->Arg(16)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Simplify_Throughput)->Arg(4)->Arg(16)->Arg(64);
+BENCHMARK(BM_MediatorQuery_Seenwith)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace bench

@@ -4,9 +4,9 @@
 // Every ground DCA membership the solver decides — "value v is (not) a
 // member of the set denoted by the ground call d:f(args)" — is a pure fact
 // about the external database at its current state epoch. Re-deriving that
-// fact costs a domain evaluation (or at least a DcaResult cache probe deep
-// inside a full Solve); the RejectCache records it once, keyed by an
-// interned (value id, call id) pair, so Solver::TestSatisfiability can
+// fact costs a domain evaluation (or at least a call-memo probe deep inside
+// a full Solve); the RejectCache records it once, keyed by an interned
+// (value id, call id) pair, so Solver::TestSatisfiability can
 // refute a doomed conjunct — in(v, call) with a recorded non-membership,
 // or not in(v, call) with a recorded membership — before any union-find
 // propagation, renaming or simplification runs.
@@ -35,10 +35,10 @@
 #define MMV_CONSTRAINT_REJECT_CACHE_H_
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 
 #include "common/value.h"
+#include "constraint/dca_call_key.h"
 
 namespace mmv {
 
@@ -61,17 +61,17 @@ class RejectCache {
       : max_entries_(max_entries) {}
 
   /// \brief Records "\p value is (member ? in : not in) the set denoted by
-  /// the ground call \p call_key". Call keys use the solver's DCA cache-key
-  /// rendering ("domain:function|arg|arg..."); the cache only requires
-  /// Record and Lookup to agree on it. Re-recording a pair is a no-op (the
-  /// verdict is a function of the pair within one epoch); at capacity new
-  /// pairs are dropped, never evicted.
-  void Record(const Value& value, const std::string& call_key, bool member);
+  /// the ground call \p call". Calls are interned by their exact
+  /// DcaCallKey, so two calls share an id only when they are the same
+  /// call. Re-recording a pair is a no-op (the verdict is a function of the
+  /// pair within one epoch); at capacity new pairs are dropped, never
+  /// evicted.
+  void Record(const Value& value, const DcaCallKey& call, bool member);
 
   /// \brief The recorded membership for the pair, or nullptr when the pair
   /// (or either component) was never recorded. Lookup never interns — a
   /// miss costs two hash probes and allocates nothing.
-  const bool* Lookup(const Value& value, const std::string& call_key);
+  const bool* Lookup(const Value& value, const DcaCallKey& call);
 
   /// \brief Drops every entry and both intern tables (stats survive).
   void Clear();
@@ -103,7 +103,7 @@ class RejectCache {
   // Intern tables: ids only grow with records (Lookup never inserts), so
   // both stay bounded by max_entries alongside the pair map.
   std::unordered_map<Value, uint32_t, ValueHash> value_ids_;
-  std::unordered_map<std::string, uint32_t> call_ids_;
+  std::unordered_map<DcaCallKey, uint32_t, DcaCallKey::Hash> call_ids_;
   std::unordered_map<uint64_t, bool> pairs_;  ///< (value_id<<32)|call_id
 };
 

@@ -8,6 +8,8 @@
 #include <atomic>
 #include <cmath>
 #include <functional>
+#include <iterator>
+#include <set>
 #include <sstream>
 
 namespace mmv {
@@ -81,21 +83,6 @@ std::string Interval::ToString() const {
 
 namespace {
 
-// Rendering of a ground domain call, shared between the per-solve
-// DcaResult cache and the cross-run RejectCache: both key on
-// "domain:function|arg|arg...". RejectCache only requires that Record and
-// Lookup agree on the rendering, but keeping one format means one helper.
-void AppendDcaCacheKey(std::string* out, const DomainCall& call,
-                       const std::vector<Value>& args) {
-  *out += call.domain;
-  *out += ':';
-  *out += call.function;
-  for (const Value& v : args) {
-    *out += '|';
-    *out += v.ToString();
-  }
-}
-
 bool EvalCmp(double a, CmpOp op, double b) {
   switch (op) {
     case CmpOp::kLt:
@@ -152,12 +139,34 @@ std::vector<Interval> SubtractInterval(const Interval& piece,
   return out;
 }
 
+// A finite candidate set: sorted and deduplicated by std::set's
+// equivalence, shared between the call memo and every class it restricts.
+using Candidates = std::shared_ptr<const std::vector<Value>>;
+
+// Membership in a sorted candidate list, by Value::operator==.
+bool HasCandidate(const std::vector<Value>& sorted, const Value& v) {
+  auto it = std::lower_bound(sorted.begin(), sorted.end(), v);
+  return it != sorted.end() && *it == v;
+}
+
+// Restricts *into to its intersection with \p other (keeping *into's
+// representatives, as std::set_intersection does); false when empty.
+bool IntersectCandidates(Candidates* into, const Candidates& other) {
+  if (*into == other) return !other->empty();
+  std::vector<Value> out;
+  std::set_intersection((*into)->begin(), (*into)->end(), other->begin(),
+                        other->end(), std::back_inserter(out));
+  if (out.empty()) return false;
+  *into = std::make_shared<const std::vector<Value>>(std::move(out));
+  return true;
+}
+
 struct ClassInfo {
   std::optional<Value> bound;
   Interval interval;
   bool interval_touched = false;
   std::set<Value> excluded;
-  std::optional<std::set<Value>> candidates;
+  Candidates candidates;  ///< null: no finite restriction
   std::vector<Interval> co_intervals;
 };
 
@@ -167,22 +176,17 @@ struct DerefResult {
   VarId root = -1;
 };
 
-// Tracks the state of solving one conjunction of primitives.
-class ConjunctionState {
+}  // namespace
+
+// Tracks the state of solving one conjunction of primitives. Domain calls
+// go through the owning Solver's call memo.
+class Solver::ConjunctionState {
  public:
-  ConjunctionState(DcaEvaluator* evaluator, bool evaluate_dca,
-                   SolveStats* stats, Status* last_status,
-                   std::unordered_map<std::string, DcaResult>* dca_cache,
-                   RejectCache* reject_cache)
-      : evaluator_(evaluator),
-        evaluate_dca_(evaluate_dca),
-        stats_(stats),
-        last_status_(last_status),
-        dca_cache_(dca_cache),
-        reject_cache_(reject_cache) {}
+  ConjunctionState(Solver* solver, RejectCache* reject_cache)
+      : solver_(solver), reject_cache_(reject_cache) {}
 
   SolveOutcome Run(const std::vector<Primitive>& prims) {
-    stats_->literals_processed += static_cast<int64_t>(prims.size());
+    solver_->stats_.literals_processed += static_cast<int64_t>(prims.size());
     // Pass 1: equalities build the union-find.
     for (const Primitive& p : prims) {
       if (p.kind != PrimKind::kEq) continue;
@@ -232,14 +236,14 @@ class ConjunctionState {
   // set that a deferred literal depends on — binding it each way decides
   // the deferred literals (complete case split, since the variable must
   // take one of the candidate values).
-  bool SuggestSplit(VarId* var, std::vector<Value>* candidates) {
+  bool SuggestSplit(VarId* var, Candidates* candidates) {
     for (const auto& [v, _] : parent_) {
       VarId root = Find(v);
       const ClassInfo& c = classes_[root];
       if (c.bound || !c.candidates) continue;
       if (!deferred_vars_.count(v)) continue;
       *var = v;
-      candidates->assign(c.candidates->begin(), c.candidates->end());
+      *candidates = c.candidates;
       return true;
     }
     // Fall back to any finite-candidate class if a deferred literal exists
@@ -250,7 +254,7 @@ class ConjunctionState {
         const ClassInfo& c = classes_[root];
         if (c.bound || !c.candidates) continue;
         *var = v;
-        candidates->assign(c.candidates->begin(), c.candidates->end());
+        *candidates = c.candidates;
         return true;
       }
     }
@@ -275,10 +279,7 @@ class ConjunctionState {
       const ClassInfo& ci = classes_[r];
       VarDomainInfo& info = out[slot];
       info.bound = ci.bound;
-      if (ci.candidates.has_value()) {
-        info.candidates =
-            std::vector<Value>(ci.candidates->begin(), ci.candidates->end());
-      }
+      if (ci.candidates) info.candidates = *ci.candidates;
       info.interval = ci.interval_touched ? ci.interval : Interval::All();
       info.excluded.assign(ci.excluded.begin(), ci.excluded.end());
       info.touched_by_deferred = false;
@@ -327,13 +328,8 @@ class ConjunctionState {
     if (cb.candidates) {
       if (!ca.candidates) {
         ca.candidates = cb.candidates;
-      } else {
-        std::set<Value> inter;
-        std::set_intersection(ca.candidates->begin(), ca.candidates->end(),
-                              cb.candidates->begin(), cb.candidates->end(),
-                              std::inserter(inter, inter.begin()));
-        if (inter.empty()) return false;
-        ca.candidates = std::move(inter);
+      } else if (!IntersectCandidates(&ca.candidates, cb.candidates)) {
+        return false;
       }
     }
     ca.co_intervals.insert(ca.co_intervals.end(), cb.co_intervals.begin(),
@@ -440,75 +436,56 @@ class ConjunctionState {
   }
 
   ProcessResult ProcessDca(const Primitive& p) {
-    if (evaluator_ == nullptr || !evaluate_dca_) {
+    if (solver_->evaluator_ == nullptr || !solver_->options_.evaluate_dca) {
       return ProcessResult::kDeferred;
     }
-    // Ground the call arguments.
-    std::vector<Value> args;
-    args.reserve(p.call.args.size());
+    // Ground the call arguments into the solver's probe key.
+    DcaCallKey& call = solver_->dca_probe_;
+    call.args.clear();
     for (const Term& t : p.call.args) {
       DerefResult d = Deref(t);
       if (!d.is_value) return ProcessResult::kRetry;
-      args.push_back(std::move(d.value));
+      call.args.push_back(std::move(d.value));
     }
-    std::string key = MakeCacheKey(p.call, args);
-    DcaResult res;
-    auto it = dca_cache_->find(key);
-    if (it != dca_cache_->end()) {
-      res = it->second;
-    } else {
-      stats_->dca_evaluations++;
-      Result<DcaResult> r =
-          evaluator_->Evaluate(p.call.domain, p.call.function, args);
-      if (!r.ok()) {
-        *last_status_ = r.status();
-        return ProcessResult::kError;
-      }
-      res = *r;
-      (*dca_cache_)[key] = res;
-    }
-    if (res.kind == DcaResultKind::kUnknown) return ProcessResult::kDeferred;
+    call.domain = p.call.domain;
+    call.function = p.call.function;
+    const DcaMemoEntry* res = solver_->EvaluateDca();
+    if (res == nullptr) return ProcessResult::kError;
+    if (res->kind == DcaResultKind::kUnknown) return ProcessResult::kDeferred;
 
     bool positive = (p.kind == PrimKind::kIn);
     DerefResult x = Deref(p.lhs);
-    if (res.kind == DcaResultKind::kFinite) {
+    if (res->kind == DcaResultKind::kFinite) {
       if (x.is_value) {
-        bool member = std::find(res.values.begin(), res.values.end(),
-                                x.value) != res.values.end();
+        bool member = HasCandidate(*res->values, x.value);
         // A decided ground membership is a pure fact about the external
         // database at the current epoch — record it (whatever the literal's
         // sign or outcome) so later satisfiability screens can refute
         // matching literals without a full solve.
         if (reject_cache_ != nullptr) {
-          reject_cache_->Record(x.value, key, member);
+          reject_cache_->Record(x.value, call, member);
         }
         return member == positive ? ProcessResult::kResolved
                                   : ProcessResult::kUnsat;
       }
       ClassInfo& c = classes_[x.root];
       if (positive) {
-        std::set<Value> s(res.values.begin(), res.values.end());
         if (!c.candidates) {
-          c.candidates = std::move(s);
-        } else {
-          std::set<Value> inter;
-          std::set_intersection(c.candidates->begin(), c.candidates->end(),
-                                s.begin(), s.end(),
-                                std::inserter(inter, inter.begin()));
-          if (inter.empty()) return ProcessResult::kUnsat;
-          c.candidates = std::move(inter);
+          c.candidates = res->values;
+        } else if (!IntersectCandidates(&c.candidates, res->values)) {
+          return ProcessResult::kUnsat;
         }
       } else {
-        c.excluded.insert(res.values.begin(), res.values.end());
+        c.excluded.insert(res->values->begin(), res->values->end());
       }
       return ProcessResult::kResolved;
     }
     // Interval result.
     if (x.is_value) {
       bool member =
-          x.value.is_numeric() && res.interval.Contains(x.value.numeric());
+          x.value.is_numeric() && res->interval.Contains(x.value.numeric());
       if (reject_cache_ != nullptr) {
-        reject_cache_->Record(x.value, key, member);
+        reject_cache_->Record(x.value, call, member);
       }
       return member == positive ? ProcessResult::kResolved
                                 : ProcessResult::kUnsat;
@@ -516,22 +493,15 @@ class ConjunctionState {
     ClassInfo& c = classes_[x.root];
     if (positive) {
       if (!c.interval_touched) {
-        c.interval = res.interval;
+        c.interval = res->interval;
         c.interval_touched = true;
-      } else if (!c.interval.IntersectWith(res.interval)) {
+      } else if (!c.interval.IntersectWith(res->interval)) {
         return ProcessResult::kUnsat;
       }
     } else {
-      c.co_intervals.push_back(res.interval);
+      c.co_intervals.push_back(res->interval);
     }
     return ProcessResult::kResolved;
-  }
-
-  static std::string MakeCacheKey(const DomainCall& call,
-                                  const std::vector<Value>& args) {
-    std::string key;
-    AppendDcaCacheKey(&key, call, args);
-    return key;
   }
 
   // Promotes singleton candidate sets to bindings, enabling further DCA
@@ -540,21 +510,24 @@ class ConjunctionState {
     bool progress = false;
     for (auto& [root, c] : classes_) {
       if (c.bound || !c.candidates) continue;
-      // Filter candidates by current interval/exclusions first.
-      std::set<Value> keep;
-      for (const Value& v : *c.candidates) {
-        if (c.excluded.count(v)) continue;
-        if (c.interval_touched &&
-            (!v.is_numeric() || !c.interval.Contains(v.numeric())))
-          continue;
-        keep.insert(v);
-      }
-      if (keep.size() != c.candidates->size()) {
-        c.candidates = keep;
+      // Filter candidates by current interval/exclusions first; the shared
+      // list is replaced only when the filter drops something.
+      auto admitted = [&c](const Value& v) {
+        if (c.excluded.count(v)) return false;
+        return !c.interval_touched ||
+               (v.is_numeric() && c.interval.Contains(v.numeric()));
+      };
+      const std::vector<Value>& cands = *c.candidates;
+      if (!std::all_of(cands.begin(), cands.end(), admitted)) {
+        std::vector<Value> keep;
+        std::copy_if(cands.begin(), cands.end(), std::back_inserter(keep),
+                     admitted);
+        c.candidates = std::make_shared<const std::vector<Value>>(
+            std::move(keep));
         progress = true;
       }
       if (c.candidates->size() == 1) {
-        c.bound = *c.candidates->begin();
+        c.bound = c.candidates->front();
         progress = true;
       }
     }
@@ -571,7 +544,7 @@ class ConjunctionState {
     if (c.bound) {
       const Value& v = *c.bound;
       if (c.excluded.count(v)) return false;
-      if (c.candidates && !c.candidates->count(v)) return false;
+      if (c.candidates && !HasCandidate(*c.candidates, v)) return false;
       if (c.interval_touched &&
           (!v.is_numeric() || !c.interval.Contains(v.numeric())))
         return false;
@@ -657,11 +630,7 @@ class ConjunctionState {
     return true;
   }
 
-  DcaEvaluator* evaluator_;
-  bool evaluate_dca_;
-  SolveStats* stats_;
-  Status* last_status_;
-  std::unordered_map<std::string, DcaResult>* dca_cache_;
+  Solver* solver_;
   RejectCache* reject_cache_;  ///< membership recording sink; may be null
 
   std::unordered_map<VarId, VarId> parent_;
@@ -671,31 +640,73 @@ class ConjunctionState {
   int64_t deferred_count_ = 0;
 };
 
-}  // namespace
+const Solver::DcaMemoEntry* Solver::EvaluateDca() {
+  if (!dca_memo_checked_) {
+    dca_memo_checked_ = true;
+    const uint64_t source = evaluator_->instance_id();
+    const int64_t epoch = evaluator_->StateEpoch();
+    if (!dca_memo_tagged_ || source != dca_memo_source_ ||
+        epoch != dca_memo_epoch_) {
+      dca_memo_.clear();
+      dca_memo_tagged_ = true;
+      dca_memo_source_ = source;
+      dca_memo_epoch_ = epoch;
+    }
+  }
+  auto it = dca_memo_.find(dca_probe_);
+  if (it != dca_memo_.end()) return &it->second;
+  stats_.dca_evaluations++;
+  Result<DcaResult> r = evaluator_->Evaluate(
+      dca_probe_.domain, dca_probe_.function, dca_probe_.args);
+  if (!r.ok()) {
+    last_status_ = r.status();  // errors are never memoized
+    return nullptr;
+  }
+  DcaMemoEntry entry;
+  entry.kind = r->kind;
+  entry.interval = r->interval;
+  if (r->kind == DcaResultKind::kFinite) {
+    // Sorted and deduplicated once. stable_sort + unique keeps the first
+    // of equivalent values, the one std::set would keep, so candidate
+    // lists hold the values, in the order, a std::set of the raw result
+    // would hold.
+    std::vector<Value> values = std::move(r->values);
+    std::stable_sort(values.begin(), values.end());
+    values.erase(std::unique(values.begin(), values.end(),
+                             [](const Value& a, const Value& b) {
+                               return !(a < b) && !(b < a);
+                             }),
+                 values.end());
+    entry.values =
+        std::make_shared<const std::vector<Value>>(std::move(values));
+  }
+  // The bound: a full memo starts over. Classes hold their candidate
+  // lists by shared_ptr, so dropping entries mid-Solve is safe.
+  if (dca_memo_.size() >= kMaxDcaMemoEntries) dca_memo_.clear();
+  return &dca_memo_.emplace(dca_probe_, std::move(entry)).first->second;
+}
 
 // Decides a conjunction of primitives, case-splitting on finite candidate
 // sets when deferred literals remain (complete search up to the budget).
-SolveOutcome Solver::SolveConjunctionWithSplits(
-    std::vector<Primitive>* prims, int64_t* budget,
-    std::unordered_map<std::string, DcaResult>* cache) {
+SolveOutcome Solver::SolveConjunctionWithSplits(std::vector<Primitive>* prims,
+                                                int64_t* budget) {
   if (--(*budget) < 0) return SolveOutcome::kSatDeferred;
   stats_.choice_branches++;
-  ConjunctionState state(evaluator_, options_.evaluate_dca, &stats_,
-                         &last_status_, cache, options_.reject_cache);
+  ConjunctionState state(this, options_.reject_cache);
   SolveOutcome o = state.Run(*prims);
   if (o != SolveOutcome::kSatDeferred || !options_.split_candidates) {
     return o;
   }
   VarId var;
-  std::vector<Value> candidates;
+  Candidates candidates;
   if (!state.SuggestSplit(&var, &candidates)) return o;
   // The variable must take one of the candidate values: the split is a
   // complete case analysis.
   bool saw_deferred = false;
   bool saw_error = false;
-  for (const Value& v : candidates) {
+  for (const Value& v : *candidates) {
     prims->push_back(Primitive::Eq(Term::Var(var), Term::Const(v)));
-    SolveOutcome sub = SolveConjunctionWithSplits(prims, budget, cache);
+    SolveOutcome sub = SolveConjunctionWithSplits(prims, budget);
     prims->pop_back();
     if (sub == SolveOutcome::kSat) return SolveOutcome::kSat;
     if (sub == SolveOutcome::kSatDeferred) saw_deferred = true;
@@ -709,6 +720,7 @@ SolveOutcome Solver::SolveConjunctionWithSplits(
 
 SolveOutcome Solver::Solve(const Constraint& c) {
   stats_.solve_calls++;
+  dca_memo_checked_ = false;
   if (c.is_false()) return SolveOutcome::kUnsat;
   if (c.is_true()) return SolveOutcome::kSat;
   // Satisfiability fast path: the linear screen runs BEFORE the memo
@@ -731,14 +743,13 @@ SolveOutcome Solver::Solve(const Constraint& c) {
 }
 
 SolveOutcome Solver::SolveUncached(const Constraint& c) {
-  std::unordered_map<std::string, DcaResult> cache;
   int64_t budget = options_.max_choice_branches;
 
   // Fast path / pruning: the positive part must be satisfiable on its own.
   {
     std::vector<Primitive> prims = c.prims();
     SolveOutcome positive =
-        SolveConjunctionWithSplits(&prims, &budget, &cache);
+        SolveConjunctionWithSplits(&prims, &budget);
     if (positive == SolveOutcome::kUnsat || positive == SolveOutcome::kError) {
       return positive;
     }
@@ -764,7 +775,7 @@ SolveOutcome Solver::SolveUncached(const Constraint& c) {
         saw_deferred = true;
         return true;  // stop the search
       }
-      SolveOutcome o = SolveConjunctionWithSplits(&chosen, &budget, &cache);
+      SolveOutcome o = SolveConjunctionWithSplits(&chosen, &budget);
       if (o == SolveOutcome::kSat) return true;
       if (o == SolveOutcome::kSatDeferred) saw_deferred = true;
       if (o == SolveOutcome::kError) saw_error = true;
@@ -914,7 +925,7 @@ bool Solver::ScreenDca(const Constraint& c, uint32_t scope) {
     if (p.kind != PrimKind::kIn && p.kind != PrimKind::kNotIn) continue;
     const Value* x = ScreenResolve(scope, p.lhs);
     if (x == nullptr) continue;
-    screen_args_.clear();
+    screen_call_.args.clear();
     bool ground = true;
     for (const Term& t : p.call.args) {
       const Value* v = ScreenResolve(scope, t);
@@ -922,12 +933,12 @@ bool Solver::ScreenDca(const Constraint& c, uint32_t scope) {
         ground = false;
         break;
       }
-      screen_args_.push_back(*v);
+      screen_call_.args.push_back(*v);
     }
     if (!ground) continue;
-    screen_key_.clear();
-    AppendDcaCacheKey(&screen_key_, p.call, screen_args_);
-    const bool* member = options_.reject_cache->Lookup(*x, screen_key_);
+    screen_call_.domain = p.call.domain;
+    screen_call_.function = p.call.function;
+    const bool* member = options_.reject_cache->Lookup(*x, screen_call_);
     if (member != nullptr && *member != (p.kind == PrimKind::kIn)) {
       return true;
     }
@@ -1040,11 +1051,10 @@ Result<std::vector<VarDomainInfo>> Solver::Analyze(const Constraint& c) {
   if (c.is_false()) {
     return Status::InvalidArgument("Analyze called on false constraint");
   }
-  std::unordered_map<std::string, DcaResult> cache;
+  dca_memo_checked_ = false;
   // Analyze runs outside the maintenance epoch-sync discipline (query
   // enumeration), so it neither records into nor consults the reject memo.
-  ConjunctionState state(evaluator_, options_.evaluate_dca, &stats_,
-                         &last_status_, &cache, nullptr);
+  ConjunctionState state(this, nullptr);
   SolveOutcome o = state.Run(c.prims());
   if (o == SolveOutcome::kUnsat) {
     return Status::InvalidArgument(

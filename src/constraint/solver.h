@@ -15,6 +15,7 @@
 #define MMV_CONSTRAINT_SOLVER_H_
 
 #include <limits>
+#include <memory>
 #include <optional>
 #include <set>
 #include <unordered_map>
@@ -22,6 +23,7 @@
 
 #include "common/result.h"
 #include "constraint/constraint.h"
+#include "constraint/dca_call_key.h"
 #include "constraint/substitution.h"
 #include "core/counters.h"
 
@@ -119,8 +121,12 @@ class DcaEvaluator {
   uint64_t instance_id() const { return instance_id_; }
 
   /// \brief Tag of the external state Evaluate() reads: two calls at the
-  /// same epoch see the same function meanings, so solver memos
-  /// (SolveCache::SyncEpoch) stay valid while the epoch stands still.
+  /// same epoch see the same function meanings, so solver memos stay valid
+  /// while the epoch stands still. It gates SolveCache::SyncEpoch,
+  /// RejectCache::SyncEpoch and every Solver's own call memo, which keeps
+  /// Evaluate() results across Solve/Analyze calls and checks the epoch
+  /// once per call: an evaluator whose answers change MUST move its
+  /// epoch, or a long-lived Solver keeps serving the old answers.
   /// Epochs are opaque — compare them only for equality; they are not
   /// monotone (pinning evaluation to a historical tick legitimately moves
   /// the epoch backward). Stateless evaluators keep the default constant
@@ -128,8 +134,9 @@ class DcaEvaluator {
   /// clock's same-tick mutation counter.
   virtual int64_t StateEpoch() const { return 0; }
 
-  /// \brief True when concurrent Evaluate() calls are safe WITHOUT
-  /// external serialization, provided no writer mutates the backing state
+  /// \brief True when concurrent Evaluate() and StateEpoch() calls are
+  /// safe WITHOUT external serialization (each worker's Solver reads the
+  /// epoch for its call memo), provided no writer mutates the backing state
   /// for the duration (the same single-writer contract StateEpoch already
   /// polices: parallel passes capture the epoch up front and fail loudly
   /// on a mismatch). Parallel fixpoint rounds and StDel lift sweeps fan
@@ -213,6 +220,15 @@ struct SolverOptions {
 ///
 /// Not thread-safe; create one per thread. The evaluator may be null, in
 /// which case every DCA-atom is deferred.
+///
+/// Call memo: every ground domain call the solver evaluates is kept,
+/// keyed by its exact DcaCallKey, for the Solver's lifetime — across
+/// Solve and Analyze calls and every case-split branch — so one call is
+/// evaluated once per evaluator state. The memo is tagged with the
+/// evaluator's (instance_id, StateEpoch) and checked at each Solve /
+/// Analyze call's first DCA evaluation (a DCA-free call never reads the
+/// epoch); a changed tag drops it. Evaluator errors are never kept, and a
+/// memo that reaches kMaxDcaMemoEntries starts over.
 class Solver {
  public:
   explicit Solver(DcaEvaluator* evaluator, SolverOptions options = {})
@@ -272,12 +288,29 @@ class Solver {
   const SolveStats& stats() const { return stats_; }
   void ResetStats() { stats_ = SolveStats(); }
 
+  /// \brief Bound on the call memo's entries.
+  static constexpr size_t kMaxDcaMemoEntries = 1u << 16;
+
  private:
-  friend class ConjunctionState;
+  class ConjunctionState;
+
+  /// \brief One memoized call result. A finite result is stored once,
+  /// sorted and deduplicated (std::set's equivalence), and shared by
+  /// every class whose candidates it is.
+  struct DcaMemoEntry {
+    DcaResultKind kind = DcaResultKind::kUnknown;
+    std::shared_ptr<const std::vector<Value>> values;  ///< kFinite
+    Interval interval;                                 ///< kInterval
+  };
+
   SolveOutcome SolveUncached(const Constraint& c);
-  SolveOutcome SolveConjunctionWithSplits(
-      std::vector<Primitive>* prims, int64_t* budget,
-      std::unordered_map<std::string, DcaResult>* cache);
+  SolveOutcome SolveConjunctionWithSplits(std::vector<Primitive>* prims,
+                                          int64_t* budget);
+
+  /// \brief The result of the call in dca_probe_: from the memo, or
+  /// evaluated and memoized. Null on an evaluator error (last_status_
+  /// holds it). The entry stays valid until the next EvaluateDca.
+  const DcaMemoEntry* EvaluateDca();
 
   // ---- TestSatisfiability / RejectJoin internals ----
   // Variables are keyed by (scope << 32) | uint32(var): scope 0 is the
@@ -296,13 +329,21 @@ class Solver {
   Status last_status_;
   SolveStats stats_;
 
+  // Call memo (see the class comment). dca_memo_checked_ is cleared at
+  // each Solve / Analyze entry and set once the tag has been compared.
+  std::unordered_map<DcaCallKey, DcaMemoEntry, DcaCallKey::Hash> dca_memo_;
+  bool dca_memo_tagged_ = false;
+  bool dca_memo_checked_ = false;
+  uint64_t dca_memo_source_ = 0;
+  int64_t dca_memo_epoch_ = 0;
+  DcaCallKey dca_probe_;  // the call being looked up
+
   // Screen scratch (amortized allocation-free across calls). Bindings map
   // packed (scope, var) keys to values owned by the screened terms, which
   // outlive the screen call.
   std::unordered_map<uint64_t, const Value*> screen_bound_;
   std::unordered_map<uint64_t, Interval> screen_intervals_;
-  std::vector<Value> screen_args_;  // ground DCA call args
-  std::string screen_key_;          // rendered DCA call key
+  DcaCallKey screen_call_;  // ground DCA call being screened
 };
 
 }  // namespace mmv

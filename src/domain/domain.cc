@@ -33,20 +33,14 @@ Result<DcaResult> DomainManager::EvaluateAt(const std::string& domain,
                                             const std::vector<Value>& args,
                                             int64_t tick) {
   // Historical snapshots are immutable; the current tick may still mutate.
-  const bool cacheable = cache_enabled_ && tick < clock_->now();
-  std::string key;
-  if (cacheable) {
-    key = domain;
-    key += ':';
-    key += function;
-    key += '@';
-    key += std::to_string(tick);
-    for (const Value& v : args) {
-      key += '|';
-      key += v.ToString();
-    }
-    auto it = call_cache_.find(key);
-    if (it != call_cache_.end()) {
+  std::unordered_map<DcaCallKey, DcaResult, DcaCallKey::Hash>* at_tick =
+      nullptr;
+  DcaCallKey key;
+  if (cache_enabled_ && tick < clock_->now()) {
+    at_tick = &call_cache_[tick];
+    key = DcaCallKey{domain, function, args};
+    auto it = at_tick->find(key);
+    if (it != at_tick->end()) {
       cache_hits_++;
       return it->second;
     }
@@ -54,7 +48,7 @@ Result<DcaResult> DomainManager::EvaluateAt(const std::string& domain,
   MMV_ASSIGN_OR_RETURN(Domain * d, Get(domain));
   call_count_.fetch_add(1, std::memory_order_relaxed);
   MMV_ASSIGN_OR_RETURN(DcaResult result, d->CallAt(function, args, tick));
-  if (cacheable) call_cache_[key] = result;
+  if (at_tick != nullptr) at_tick->emplace(std::move(key), result);
   return result;
 }
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "constraint/dca_call_key.h"
 #include "constraint/solver.h"
 #include "relational/catalog.h"
 
@@ -169,6 +170,7 @@ class DomainManager : public DcaEvaluator {
   /// \brief Enables memoization of *historical* evaluations (tick strictly
   /// before the clock's now — those snapshots are immutable, so the cache
   /// never goes stale; current-tick calls are always evaluated live).
+  /// Calls are keyed per tick by their exact DcaCallKey.
   ///
   /// This realizes the paper's Section 5 remark that materializing the
   /// external function calls (Kemper/Kilger/Moerkotte-style function
@@ -190,7 +192,10 @@ class DomainManager : public DcaEvaluator {
   std::atomic<int64_t> call_count_{0};
   bool cache_enabled_ = false;
   int64_t cache_hits_ = 0;
-  std::unordered_map<std::string, DcaResult> call_cache_;
+  // tick -> call -> result
+  std::unordered_map<
+      int64_t, std::unordered_map<DcaCallKey, DcaResult, DcaCallKey::Hash>>
+      call_cache_;
 };
 
 }  // namespace dom

@@ -58,7 +58,7 @@ class FaceDomain : public Domain {
     return {"segmentface", "matchface", "findface", "findname"};
   }
 
-  /// Evaluation only reads the backing catalog tables (RowsAt replays);
+  /// Evaluation only reads the backing catalog tables (RowsAt);
   /// the Add/Remove mutators are writer-side.
   bool ConcurrentCallSafe() const override { return true; }
 

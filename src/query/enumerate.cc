@@ -99,10 +99,9 @@ PositionDomain DomainOf(const VarDomainInfo& info) {
 // Recursive enumeration engine for one atom.
 class AtomEnumerator {
  public:
-  AtomEnumerator(const ViewAtom& atom, DcaEvaluator* evaluator,
+  AtomEnumerator(const ViewAtom& atom, Solver* solver,
                  const EnumerateOptions& options, InstanceSet* out)
-      : atom_(atom), options_(options), out_(out),
-        solver_(evaluator, options.solver) {}
+      : atom_(atom), options_(options), out_(out), solver_(solver) {}
 
   Status Run() { return Refine(atom_.constraint, 0); }
 
@@ -114,12 +113,12 @@ class AtomEnumerator {
       out_->complete = false;
       return Status::OK();
     }
-    SolveOutcome pre = solver_.Solve(constraint);
-    if (pre == SolveOutcome::kError) return solver_.last_status();
+    SolveOutcome pre = solver_->Solve(constraint);
+    if (pre == SolveOutcome::kError) return solver_->last_status();
     if (pre == SolveOutcome::kUnsat) return Status::OK();
 
     Result<std::vector<VarDomainInfo>> analyzed =
-        solver_.Analyze(constraint);
+        solver_->Analyze(constraint);
     if (!analyzed.ok()) return Status::OK();  // positive part unsat
     const std::vector<VarDomainInfo>& classes = *analyzed;
 
@@ -199,8 +198,8 @@ class AtomEnumerator {
       for (size_t i = 0; i < arity; ++i) {
         check.Add(Primitive::Eq(atom_.args[i], Term::Const((*tuple)[i])));
       }
-      SolveOutcome o = solver_.Solve(check);
-      if (o == SolveOutcome::kError) return solver_.last_status();
+      SolveOutcome o = solver_->Solve(check);
+      if (o == SolveOutcome::kError) return solver_->last_status();
       if (IsSolvable(o)) {
         if (o == SolveOutcome::kSatDeferred) out_->approximate = true;
         out_->instances.insert(Instance{atom_.pred, *tuple});
@@ -231,23 +230,33 @@ class AtomEnumerator {
   const ViewAtom& atom_;
   EnumerateOptions options_;
   InstanceSet* out_;
-  Solver solver_;
+  Solver* solver_;
 };
 
 }  // namespace
 
+Result<InstanceSet> EnumerateAtomWith(const ViewAtom& atom, Solver* solver,
+                                      const EnumerateOptions& options) {
+  InstanceSet out;
+  if (atom.constraint.is_false()) return out;
+  AtomEnumerator enumerator(atom, solver, options, &out);
+  MMV_RETURN_NOT_OK(enumerator.Run());
+  return out;
+}
+
 Result<InstanceSet> EnumerateAtom(const ViewAtom& atom,
                                   DcaEvaluator* evaluator,
                                   const EnumerateOptions& options) {
-  InstanceSet out;
-  if (atom.constraint.is_false()) return out;
-  AtomEnumerator enumerator(atom, evaluator, options, &out);
-  MMV_RETURN_NOT_OK(enumerator.Run());
+  Solver solver(evaluator, options.solver);
+  MMV_ASSIGN_OR_RETURN(InstanceSet out,
+                       EnumerateAtomWith(atom, &solver, options));
+  if (options.solve_stats != nullptr) *options.solve_stats += solver.stats();
   return out;
 }
 
 Result<InstanceSet> EnumerateView(const View& view, DcaEvaluator* evaluator,
                                   const EnumerateOptions& options) {
+  Solver solver(evaluator, options.solver);
   InstanceSet out;
   for (const ViewAtom& atom : view.atoms()) {
     // Each atom gets only the REMAINING budget: handing every atom the
@@ -258,7 +267,7 @@ Result<InstanceSet> EnumerateView(const View& view, DcaEvaluator* evaluator,
     EnumerateOptions atom_options = options;
     atom_options.max_instances = options.max_instances - out.instances.size();
     MMV_ASSIGN_OR_RETURN(InstanceSet one,
-                         EnumerateAtom(atom, evaluator, atom_options));
+                         EnumerateAtomWith(atom, &solver, atom_options));
     out.instances.insert(one.instances.begin(), one.instances.end());
     out.complete = out.complete && one.complete;
     out.approximate = out.approximate || one.approximate;
@@ -268,6 +277,7 @@ Result<InstanceSet> EnumerateView(const View& view, DcaEvaluator* evaluator,
     }
   }
   assert(out.instances.size() <= options.max_instances);
+  if (options.solve_stats != nullptr) *options.solve_stats += solver.stats();
   return out;
 }
 
@@ -277,13 +287,14 @@ Result<InstanceSet> EnumerateView(const SnapshotHandle& snapshot,
   // Walks the image's global atom order — the same sequence the live
   // view's atoms() held at publication, so a snapshot read enumerates
   // (and budget-truncates) exactly like a live read of that epoch.
+  Solver solver(evaluator, options.solver);
   InstanceSet out;
   Status status = Status::OK();
   snapshot->image->ForEachAtom([&](const ViewAtom& atom) {
     // Remaining-budget threading, as in the live overload above.
     EnumerateOptions atom_options = options;
     atom_options.max_instances = options.max_instances - out.instances.size();
-    Result<InstanceSet> one = EnumerateAtom(atom, evaluator, atom_options);
+    Result<InstanceSet> one = EnumerateAtomWith(atom, &solver, atom_options);
     if (!one.ok()) {
       status = one.status();
       return false;
@@ -299,6 +310,7 @@ Result<InstanceSet> EnumerateView(const SnapshotHandle& snapshot,
   });
   MMV_RETURN_NOT_OK(status);
   assert(out.instances.size() <= options.max_instances);
+  if (options.solve_stats != nullptr) *options.solve_stats += solver.stats();
   return out;
 }
 

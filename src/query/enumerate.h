@@ -33,6 +33,8 @@ struct Instance {
 struct EnumerateOptions {
   size_t max_instances = 1000000;
   SolverOptions solver;
+  /// When set, a successful read adds its solver's counters here.
+  SolveStats* solve_stats = nullptr;
 };
 
 /// \brief Result of an enumeration.
@@ -55,6 +57,13 @@ struct InstanceSet {
 Result<InstanceSet> EnumerateAtom(const ViewAtom& atom,
                                   DcaEvaluator* evaluator,
                                   const EnumerateOptions& options = {});
+
+/// \brief EnumerateAtom on a caller-owned \p solver (options.solver and
+/// options.solve_stats are not used). A read that enumerates several
+/// atoms runs them all on one solver, so its call memo evaluates each
+/// ground domain call once per read.
+Result<InstanceSet> EnumerateAtomWith(const ViewAtom& atom, Solver* solver,
+                                      const EnumerateOptions& options = {});
 
 /// \brief Enumerates [M]: the union of all atoms' solutions.
 Result<InstanceSet> EnumerateView(const View& view, DcaEvaluator* evaluator,

@@ -34,17 +34,17 @@ ViewAtom RestrictByPattern(const ViewAtom& atom, const TermVec& pattern) {
 // Enumerates one pattern-restricted atom into \p out with the REMAINING
 // budget, as in EnumerateView: handing every matching atom the full
 // max_instances would let the union overshoot the cap. Returns false once
-// the cap is reached (callers stop scanning).
+// the cap is reached (callers stop scanning). Every atom of one read runs
+// on the read's one solver.
 Result<bool> AccumulateMatch(const ViewAtom& atom, const TermVec& pattern,
-                             DcaEvaluator* evaluator,
-                             const EnumerateOptions& options,
+                             Solver* solver, const EnumerateOptions& options,
                              InstanceSet* out) {
   EnumerateOptions atom_options = options;
   atom_options.max_instances = options.max_instances - out->instances.size();
   MMV_ASSIGN_OR_RETURN(
       InstanceSet one,
-      EnumerateAtom(RestrictByPattern(atom, pattern), evaluator,
-                    atom_options));
+      EnumerateAtomWith(RestrictByPattern(atom, pattern), solver,
+                        atom_options));
   out->instances.insert(one.instances.begin(), one.instances.end());
   out->complete = out->complete && one.complete;
   out->approximate = out->approximate || one.approximate;
@@ -61,15 +61,17 @@ Result<InstanceSet> QueryPred(const View& view, Symbol pred,
                               const TermVec& pattern,
                               DcaEvaluator* evaluator,
                               const EnumerateOptions& options) {
+  Solver solver(evaluator, options.solver);
   InstanceSet out;
   for (size_t i : view.AtomsFor(pred)) {
     const ViewAtom& atom = view.atoms()[i];
     if (atom.args.size() != pattern.size()) continue;
     MMV_ASSIGN_OR_RETURN(
         bool keep_going,
-        AccumulateMatch(atom, pattern, evaluator, options, &out));
+        AccumulateMatch(atom, pattern, &solver, options, &out));
     if (!keep_going) break;
   }
+  if (options.solve_stats != nullptr) *options.solve_stats += solver.stats();
   return out;
 }
 
@@ -80,14 +82,16 @@ Result<InstanceSet> QueryPred(const SnapshotHandle& snapshot, Symbol pred,
   // The image's per-pred segment holds the same atoms, in the same order,
   // as the live posting list did at publication, so the scan below is
   // byte-identical to the live overload at that epoch.
+  Solver solver(evaluator, options.solver);
   InstanceSet out;
   for (const ViewAtom& atom : snapshot->image->AtomsFor(pred)) {
     if (atom.args.size() != pattern.size()) continue;
     MMV_ASSIGN_OR_RETURN(
         bool keep_going,
-        AccumulateMatch(atom, pattern, evaluator, options, &out));
+        AccumulateMatch(atom, pattern, &solver, options, &out));
     if (!keep_going) break;
   }
+  if (options.solve_stats != nullptr) *options.solve_stats += solver.stats();
   return out;
 }
 

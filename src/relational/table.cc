@@ -6,6 +6,11 @@
 namespace mmv {
 namespace rel {
 
+void Table::Log(int64_t tick, bool is_insert, const Row& row) {
+  if (log_.empty() || tick > last_logged_tick_) last_logged_tick_ = tick;
+  log_.push_back(LogEntry{tick, is_insert, row});
+}
+
 void Table::IndexInsertedSlot(size_t slot) {
   std::unique_lock lock(index_mu_);
   for (auto& [col, idx] : indexes_) {
@@ -32,7 +37,7 @@ Status Table::Insert(Row row, int64_t tick) {
     return Status::InvalidArgument("row arity mismatch for table " +
                                    schema_.table_name);
   }
-  log_.push_back(LogEntry{tick, true, row});
+  Log(tick, true, row);
   slots_.push_back(Slot{std::move(row), false});
   live_count_++;
   IndexInsertedSlot(slots_.size() - 1);
@@ -45,7 +50,7 @@ Status Table::Delete(const Row& row, int64_t tick) {
     if (!s.dead && s.row == row) {
       s.dead = true;
       live_count_--;
-      log_.push_back(LogEntry{tick, false, row});
+      Log(tick, false, row);
       IndexDeletedSlot(i);
       return Status::OK();
     }
@@ -67,7 +72,7 @@ Result<int64_t> Table::DeleteWhere(const std::string& column,
     if (!s.dead && s.row[static_cast<size_t>(col)] == value) {
       s.dead = true;
       live_count_--;
-      log_.push_back(LogEntry{tick, false, s.row});
+      Log(tick, false, s.row);
       IndexDeletedSlot(i);
       removed++;
     }
@@ -142,6 +147,11 @@ std::vector<Row> Table::Scan() const {
 }
 
 std::vector<Row> Table::RowsAt(int64_t t) const {
+  // At or after every logged tick the replay below would apply the whole
+  // log, and its result is the live rows in slot order: both keep
+  // inserted rows in insertion order, and a delete removes the first live
+  // row equal to the deleted one in both.
+  if (log_.empty() || t >= last_logged_tick_) return Scan();
   // Replay the log up to and including tick t (multiset semantics).
   std::vector<Row> rows;
   for (const LogEntry& e : log_) {

@@ -76,7 +76,9 @@ class Table {
   /// \brief All current rows.
   std::vector<Row> Scan() const;
 
-  /// \brief Rows as of tick \p t (replayed from the log): the paper's f_t.
+  /// \brief Rows as of tick \p t: the paper's f_t. Replayed from the log,
+  /// except at or after the last logged tick, where the live rows are
+  /// that replay (same rows, same order) and are returned directly.
   std::vector<Row> RowsAt(int64_t t) const;
 
   /// \brief f+ / f- between ticks \p t0 and \p t1 (t0 <= t1).
@@ -94,6 +96,7 @@ class Table {
     bool dead = false;
   };
 
+  void Log(int64_t tick, bool is_insert, const Row& row);
   void IndexInsertedSlot(size_t slot);
   void IndexDeletedSlot(size_t slot);
   const std::unordered_multimap<size_t, size_t>& IndexFor(int col) const;
@@ -102,6 +105,7 @@ class Table {
   std::vector<Slot> slots_;
   size_t live_count_ = 0;
   std::vector<LogEntry> log_;
+  int64_t last_logged_tick_ = 0;  ///< max tick in log_ (0 while empty)
   // column -> (value hash -> slot idx); collisions re-checked with ==.
   // Guarded by index_mu_: shared for lookups, exclusive for the lazy
   // build and the mutators' incremental maintenance. A returned inner

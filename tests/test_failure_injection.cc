@@ -123,6 +123,31 @@ TEST(CallCacheTest, HistoricalCallsAreMemoized) {
   EXPECT_EQ(w.domains->cache_hits(), 4);
 }
 
+// The cache keys a call by its exact arguments: 1000000.25 and 1000000.75
+// print alike ("1e+06") at the default stream precision, and 2 and 2.0
+// are equal Values, yet each is its own call and reaches the domain.
+TEST(CallCacheTest, DistinctDoubleArgumentsReachTheDomain) {
+  TestWorld w = TestWorld::Make();
+  w.catalog->clock().Advance();  // tick 0 is now historical
+  w.domains->EnableCallCache(true);
+  w.domains->ResetCallCount();
+  auto times_two = [&](Value x) {
+    return Unwrap(w.domains->EvaluateAt("arith", "times", {x, Value(2)}, 0));
+  };
+  EXPECT_EQ(times_two(Value(1000000.25)).values,
+            std::vector<Value>{Value(2000000.5)});
+  EXPECT_EQ(times_two(Value(1000000.75)).values,
+            std::vector<Value>{Value(2000001.5)});
+  EXPECT_EQ(w.domains->call_count(), 2);
+  EXPECT_TRUE(times_two(Value(int64_t{2})).values.at(0).is_int());
+  EXPECT_TRUE(times_two(Value(2.0)).values.at(0).is_double());
+  EXPECT_EQ(w.domains->call_count(), 4);
+  EXPECT_EQ(w.domains->cache_hits(), 0);
+  times_two(Value(1000000.75));  // a repeated call is served from the cache
+  EXPECT_EQ(w.domains->call_count(), 4);
+  EXPECT_EQ(w.domains->cache_hits(), 1);
+}
+
 TEST(CallCacheTest, CurrentTickNeverCached) {
   TestWorld w = TestWorld::Make();
   ASSERT_TRUE(w.catalog->CreateTable(rel::Schema{"t", {"k"}}).ok());

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
 #include "maintenance/external.h"
 #include "maintenance/stdel.h"
 #include "query/query.h"
@@ -63,6 +65,48 @@ TEST_F(LawEnforcementTest, SeenwithMatchesGroundTruth) {
       scenario_->domains.get()));
   EXPECT_EQ(SecondArgs(seen, scenario_->target),
             scenario_->expected_seenwith);
+}
+
+// Under W_P the view keeps every domain call, so the query decides them
+// all (Corollary 1). One read runs its Solves and Analyzes on one solver,
+// whose call memo evaluates each distinct ground call once.
+TEST_F(LawEnforcementTest, WpQueryEvaluatesEachCallOnce) {
+  class RecordingEvaluator : public DcaEvaluator {
+   public:
+    explicit RecordingEvaluator(DcaEvaluator* inner) : inner_(inner) {}
+    Result<DcaResult> Evaluate(const std::string& domain,
+                               const std::string& function,
+                               const std::vector<Value>& args) override {
+      ++calls;
+      distinct.insert(DcaCallKey{domain, function, args});
+      return inner_->Evaluate(domain, function, args);
+    }
+    int64_t StateEpoch() const override { return inner_->StateEpoch(); }
+
+    int64_t calls = 0;
+    std::unordered_set<DcaCallKey, DcaCallKey::Hash> distinct;
+
+   private:
+    DcaEvaluator* inner_;
+  } eval(scenario_->domains.get());
+  FixpointOptions fopts;
+  fopts.op = OperatorKind::kWp;
+  View view = testutil::MaterializeOrDie(scenario_->mediator, &eval, fopts);
+  eval.calls = 0;
+  eval.distinct.clear();
+
+  SolveStats stats;
+  query::EnumerateOptions eopts;
+  eopts.solve_stats = &stats;
+  query::InstanceSet seen = Unwrap(query::QueryPred(
+      view, "seenwith",
+      {Term::Const(Value(scenario_->target)), Term::Var(0)}, &eval, eopts));
+  EXPECT_EQ(SecondArgs(seen, scenario_->target),
+            scenario_->expected_seenwith);
+  EXPECT_GT(eval.calls, 0);
+  EXPECT_EQ(eval.calls, static_cast<int64_t>(eval.distinct.size()));
+  EXPECT_EQ(stats.dca_evaluations, eval.calls);
+  EXPECT_GT(stats.solve_calls, 0);
 }
 
 TEST_F(LawEnforcementTest, WpViewTracksSurveillanceExtension) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.h"
 #include "relational/catalog.h"
 #include "relational/index.h"
 
@@ -157,6 +160,80 @@ TEST(CatalogTest, ClockStampsMutations) {
   const Table* t = *static_cast<const Catalog&>(cat).GetTable("t");
   EXPECT_EQ(t->RowsAt(0).size(), 1u);
   EXPECT_EQ(t->RowsAt(1).size(), 2u);
+}
+
+// RowsAt(t) against a reference replay of the operations a random
+// session applied: inserts, deletes (present and absent rows) and
+// DeleteWhere through the catalog at the current tick, with and without
+// Advance between them, over a small value space so rows repeat. Every
+// tick from before the first entry to past the last one is checked after
+// every operation, so the live-rows fast path (t at or after the last
+// logged tick) and the replay path must both agree with the reference,
+// order included.
+TEST(CatalogTest, RowsAtMatchesReplayOverRandomSessions) {
+  struct Op {
+    int64_t tick;
+    enum { kInsert, kDelete, kDeleteWhere } kind;
+    Row row;  // kDeleteWhere: {column 0 value}
+  };
+  auto replay = [](const std::vector<Op>& ops, int64_t t) {
+    std::vector<Row> rows;
+    for (const Op& op : ops) {
+      if (op.tick > t) break;
+      if (op.kind == Op::kInsert) {
+        rows.push_back(op.row);
+      } else if (op.kind == Op::kDelete) {
+        rows.erase(std::find(rows.begin(), rows.end(), op.row));
+      } else {
+        rows.erase(std::remove_if(rows.begin(), rows.end(),
+                                  [&](const Row& r) {
+                                    return r[0] == op.row[0];
+                                  }),
+                   rows.end());
+      }
+    }
+    return rows;
+  };
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    Catalog cat;
+    ASSERT_TRUE(cat.CreateTable(Schema{"t", {"k", "v"}}).ok());
+    const Table* table = *static_cast<const Catalog&>(cat).GetTable("t");
+    std::vector<Op> ops;
+    auto random_row = [&rng]() -> Row {
+      return {Value(rng.Int(0, 2)),
+              Value(std::string(1, static_cast<char>('a' + rng.Int(0, 1))))};
+    };
+    for (int step = 0; step < 60; ++step) {
+      const int64_t now = cat.clock().now();
+      const int64_t pick = rng.Int(0, 9);
+      if (pick < 5) {
+        Row row = random_row();
+        ASSERT_TRUE(cat.Insert("t", row).ok());
+        ops.push_back({now, Op::kInsert, row});
+      } else if (pick < 7) {
+        Row row = random_row();  // may be absent: NotFound logs nothing
+        const std::vector<Row> rows = replay(ops, now);
+        const bool live =
+            std::find(rows.begin(), rows.end(), row) != rows.end();
+        Status s = cat.Delete("t", row);
+        ASSERT_EQ(s.ok(), live) << s.ToString();
+        if (live) ops.push_back({now, Op::kDelete, row});
+      } else if (pick < 8) {
+        Value k(rng.Int(0, 2));
+        Result<int64_t> removed =
+            (*cat.GetTable("t"))->DeleteWhere("k", k, now);
+        ASSERT_TRUE(removed.ok());
+        ops.push_back({now, Op::kDeleteWhere, {k}});
+      } else {
+        cat.clock().Advance();
+      }
+      for (int64_t t = -1; t <= cat.clock().now() + 1; ++t) {
+        ASSERT_EQ(table->RowsAt(t), replay(ops, t))
+            << "seed " << seed << " step " << step << " tick " << t;
+      }
+    }
+  }
 }
 
 TEST(SchemaTest, ColumnIndex) {

@@ -11,13 +11,21 @@ Term V(VarId v) { return Term::Var(v); }
 Term C(int64_t c) { return Term::Const(Value(c)); }
 Term S(const char* s) { return Term::Const(Value(s)); }
 
-// A scripted evaluator: finite sets and intervals by function name.
+Term D(double d) { return Term::Const(Value(d)); }
+
+// A scripted evaluator: finite sets and intervals by function name. It
+// counts its evaluations and epoch reads, reports a settable epoch, and
+// can fail its next evaluations on demand.
 class FakeEvaluator : public DcaEvaluator {
  public:
   Result<DcaResult> Evaluate(const std::string& domain,
                              const std::string& function,
                              const std::vector<Value>& args) override {
     calls++;
+    if (failures > 0) {
+      failures--;
+      return Status::Internal("injected failure");
+    }
     if (domain != "fake") {
       return Status::NotFound("no domain " + domain);
     }
@@ -38,7 +46,14 @@ class FakeEvaluator : public DcaEvaluator {
     }
     return Status::NotFound("no function " + function);
   }
+  int64_t StateEpoch() const override {
+    epoch_reads++;
+    return epoch;
+  }
   int calls = 0;
+  int failures = 0;  ///< the next `failures` evaluations fail
+  int64_t epoch = 0;
+  mutable int epoch_reads = 0;
 };
 
 class SolverTest : public ::testing::Test {
@@ -302,6 +317,119 @@ TEST_F(SolverTest, StatsAccumulate) {
   Solve(c);
   EXPECT_EQ(solver_.stats().solve_calls, 1);
   EXPECT_GE(solver_.stats().dca_evaluations, 1);
+}
+
+// 1000000.25 and 1000000.75 print alike ("1e+06") at the default stream
+// precision; they are still two calls with two answers.
+TEST_F(SolverTest, DistinctDoubleArgumentsAreDistinctCalls) {
+  Constraint c;
+  c.Add(Primitive::Eq(V(0), D(1000000.25)));
+  c.Add(Primitive::In(V(1), DomainCall{"fake", "double_of", {V(0)}}));
+  c.Add(Primitive::Eq(V(2), D(1000000.75)));
+  c.Add(Primitive::In(V(3), DomainCall{"fake", "double_of", {V(2)}}));
+  c.Add(Primitive::Eq(V(3), D(2000001.5)));
+  EXPECT_EQ(Solve(c), SolveOutcome::kSat);
+  EXPECT_EQ(eval_.calls, 2);
+}
+
+TEST(DcaCallKeyTest, ArgumentsAreEqualOnlyAtTheSameKind) {
+  auto key = [](std::vector<Value> args) {
+    return DcaCallKey{"d", "f", std::move(args)};
+  };
+  DcaCallKey::Hash hash;
+  EXPECT_EQ(key({Value(2), Value("a")}), key({Value(2), Value("a")}));
+  EXPECT_EQ(hash(key({Value(2), Value("a")})),
+            hash(key({Value(2), Value("a")})));
+  EXPECT_NE(key({Value(2)}), key({Value(2.0)}));
+  EXPECT_NE(key({Value(1000000.25)}), key({Value(1000000.75)}));
+  EXPECT_NE(key({Value(0.0)}), key({Value(-0.0)}));
+  EXPECT_NE(key({Value(ValueList{Value(2)})}),
+            key({Value(ValueList{Value(2.0)})}));
+  EXPECT_EQ(key({Value(ValueList{Value(1.5), Value()})}),
+            key({Value(ValueList{Value(1.5), Value()})}));
+  EXPECT_NE(key({}), (DcaCallKey{"d", "g", {}}));
+  EXPECT_NE(key({}), (DcaCallKey{"e", "f", {}}));
+}
+
+// ---- the call memo: one evaluation per call and evaluator state ----------
+
+// X in {1,2,3}, Y in double_of(X), Y = 4: the split evaluates set123,
+// double_of(1) and double_of(2).
+Constraint SplitChain() {
+  Constraint c;
+  c.Add(Primitive::In(V(0), DomainCall{"fake", "set123", {}}));
+  c.Add(Primitive::In(V(1), DomainCall{"fake", "double_of", {V(0)}}));
+  c.Add(Primitive::Eq(V(1), C(4)));
+  return c;
+}
+
+TEST_F(SolverTest, CallMemoSpansSolvesAndAnalyze) {
+  EXPECT_EQ(Solve(SplitChain()), SolveOutcome::kSat);
+  EXPECT_EQ(eval_.calls, 3);
+  EXPECT_EQ(Solve(SplitChain()), SolveOutcome::kSat);
+  ASSERT_TRUE(solver_.Analyze(SplitChain()).ok());
+  EXPECT_EQ(eval_.calls, 3);
+  EXPECT_EQ(solver_.stats().dca_evaluations, 3);
+  EXPECT_EQ(solver_.stats().solve_calls, 2);
+}
+
+TEST_F(SolverTest, CallMemoFlushesOnEpochChange) {
+  EXPECT_EQ(Solve(SplitChain()), SolveOutcome::kSat);
+  EXPECT_EQ(eval_.calls, 3);
+  eval_.epoch = 7;
+  EXPECT_EQ(Solve(SplitChain()), SolveOutcome::kSat);
+  EXPECT_EQ(eval_.calls, 6);
+  EXPECT_EQ(Solve(SplitChain()), SolveOutcome::kSat);
+  EXPECT_EQ(eval_.calls, 6);
+}
+
+TEST_F(SolverTest, CallMemoNeverKeepsErrors) {
+  eval_.failures = 1;
+  EXPECT_EQ(Solve(SplitChain()), SolveOutcome::kError);
+  EXPECT_EQ(eval_.calls, 1);
+  EXPECT_EQ(Solve(SplitChain()), SolveOutcome::kSat);  // re-attempted
+  EXPECT_EQ(eval_.calls, 4);
+}
+
+TEST_F(SolverTest, CallMemoFlushesForAnotherEvaluatorInstance) {
+  EXPECT_EQ(Solve(SplitChain()), SolveOutcome::kSat);
+  EXPECT_EQ(eval_.calls, 3);
+  // Assignment gives the evaluator a fresh instance_id; its epoch (0) is
+  // unchanged, so only the identity tells the memo it is a new source.
+  uint64_t old_id = eval_.instance_id();
+  eval_ = FakeEvaluator();
+  ASSERT_NE(eval_.instance_id(), old_id);
+  EXPECT_EQ(Solve(SplitChain()), SolveOutcome::kSat);
+  EXPECT_EQ(eval_.calls, 3);
+}
+
+TEST_F(SolverTest, CallMemoIsBounded) {
+  auto solve_call = [&](int64_t i) {
+    Constraint c;
+    c.Add(Primitive::In(V(0), DomainCall{"fake", "double_of", {C(i)}}));
+    EXPECT_EQ(Solve(c), SolveOutcome::kSat);
+  };
+  const int64_t full = static_cast<int64_t>(Solver::kMaxDcaMemoEntries);
+  for (int64_t i = 0; i < full; ++i) solve_call(i);
+  solve_call(0);  // still memoized
+  EXPECT_EQ(eval_.calls, full);
+  solve_call(full);  // no room: the memo starts over with this call
+  solve_call(0);
+  EXPECT_EQ(eval_.calls, full + 2);
+}
+
+TEST_F(SolverTest, CallMemoReadsTheEpochOncePerCallAndOnlyForDomainCalls) {
+  Constraint plain;
+  plain.Add(Primitive::Eq(V(0), V(1)));
+  plain.Add(Primitive::Cmp(V(1), CmpOp::kLe, C(3)));
+  EXPECT_EQ(Solve(plain), SolveOutcome::kSat);
+  ASSERT_TRUE(solver_.Analyze(plain).ok());
+  EXPECT_EQ(eval_.epoch_reads, 0);
+
+  EXPECT_EQ(Solve(SplitChain()), SolveOutcome::kSat);  // 3 calls, 1 read
+  EXPECT_EQ(eval_.epoch_reads, 1);
+  ASSERT_TRUE(solver_.Analyze(SplitChain()).ok());
+  EXPECT_EQ(eval_.epoch_reads, 2);
 }
 
 TEST(IntervalTest, EmptyAndContains) {

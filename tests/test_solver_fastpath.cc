@@ -35,6 +35,10 @@ using testutil::Unwrap;
 
 Term V(VarId v) { return Term::Var(v); }
 Term C(int64_t v) { return Term::Const(Value(v)); }
+// A nullary ground call d:f(), as the RejectCache tests key their records.
+DcaCallKey Call(const char* domain, const char* function) {
+  return DcaCallKey{domain, function, {}};
+}
 
 // The scripted finite evaluator of test_solver_property.cc, restated here
 // (anonymous namespaces do not share): evens/small are fixed sets, succ and
@@ -474,18 +478,18 @@ TEST_F(FastpathDomainsTest, TextSatisfiableNeverRejected) {
 
 TEST(RejectCacheTest, RecordsBothPolarities) {
   RejectCache cache;
-  cache.Record(Value(3), "g:evens", false);
-  cache.Record(Value(4), "g:evens", true);
+  cache.Record(Value(3), Call("g", "evens"), false);
+  cache.Record(Value(4), Call("g", "evens"), true);
 
-  const bool* odd = cache.Lookup(Value(3), "g:evens");
+  const bool* odd = cache.Lookup(Value(3), Call("g", "evens"));
   ASSERT_NE(odd, nullptr);
   EXPECT_FALSE(*odd);
-  const bool* even = cache.Lookup(Value(4), "g:evens");
+  const bool* even = cache.Lookup(Value(4), Call("g", "evens"));
   ASSERT_NE(even, nullptr);
   EXPECT_TRUE(*even);
 
-  EXPECT_EQ(cache.Lookup(Value(5), "g:evens"), nullptr);
-  EXPECT_EQ(cache.Lookup(Value(3), "g:small"), nullptr);
+  EXPECT_EQ(cache.Lookup(Value(5), Call("g", "evens")), nullptr);
+  EXPECT_EQ(cache.Lookup(Value(3), Call("g", "small")), nullptr);
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().records, 2);
   EXPECT_EQ(cache.stats().hits, 2);
@@ -494,25 +498,25 @@ TEST(RejectCacheTest, RecordsBothPolarities) {
 
 TEST(RejectCacheTest, ReRecordingIsANoOp) {
   RejectCache cache;
-  cache.Record(Value(3), "g:evens", false);
-  cache.Record(Value(3), "g:evens", false);
+  cache.Record(Value(3), Call("g", "evens"), false);
+  cache.Record(Value(3), Call("g", "evens"), false);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.stats().records, 1);
 }
 
 TEST(RejectCacheTest, CapacityDropsNewPairsNeverEvicts) {
   RejectCache cache(/*max_entries=*/2);
-  cache.Record(Value(1), "k", true);
-  cache.Record(Value(2), "k", true);
-  cache.Record(Value(3), "k", true);  // dropped
+  cache.Record(Value(1), Call("k", "f"), true);
+  cache.Record(Value(2), Call("k", "f"), true);
+  cache.Record(Value(3), Call("k", "f"), true);  // dropped
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().full, 1);
-  EXPECT_NE(cache.Lookup(Value(1), "k"), nullptr);
-  EXPECT_NE(cache.Lookup(Value(2), "k"), nullptr);
-  EXPECT_EQ(cache.Lookup(Value(3), "k"), nullptr);
+  EXPECT_NE(cache.Lookup(Value(1), Call("k", "f")), nullptr);
+  EXPECT_NE(cache.Lookup(Value(2), Call("k", "f")), nullptr);
+  EXPECT_EQ(cache.Lookup(Value(3), Call("k", "f")), nullptr);
   // Re-recording an existing pair at capacity is still the no-op, not a
   // drop.
-  cache.Record(Value(1), "k", true);
+  cache.Record(Value(1), Call("k", "f"), true);
   EXPECT_EQ(cache.stats().full, 1);
 }
 
@@ -523,7 +527,7 @@ TEST(RejectCacheTest, SyncEpochMirrorsSolveCacheContract) {
 
   // First tagging of an EMPTY memo drops nothing.
   EXPECT_FALSE(cache.SyncEpoch(/*source=*/7, /*epoch=*/5));
-  cache.Record(Value(1), "k", true);
+  cache.Record(Value(1), Call("k", "f"), true);
 
   // Same (source, epoch): no-op, the memo survives.
   EXPECT_FALSE(cache.SyncEpoch(7, 5));
@@ -536,11 +540,11 @@ TEST(RejectCacheTest, SyncEpochMirrorsSolveCacheContract) {
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.epoch(), 6);
   EXPECT_EQ(cache.stats().epoch_flushes, 1);
-  EXPECT_EQ(cache.Lookup(Value(1), "k"), nullptr);
+  EXPECT_EQ(cache.Lookup(Value(1), Call("k", "f")), nullptr);
 
   // A different evaluator at the SAME epoch value is a different state
   // source: flush again (nothing to drop here, so false).
-  cache.Record(Value(2), "k", false);
+  cache.Record(Value(2), Call("k", "f"), false);
   EXPECT_TRUE(cache.SyncEpoch(8, 6));
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.epoch_source(), 8u);
@@ -548,11 +552,11 @@ TEST(RejectCacheTest, SyncEpochMirrorsSolveCacheContract) {
 
 TEST(RejectCacheTest, ClearDropsEntriesKeepsStats) {
   RejectCache cache;
-  cache.Record(Value(1), "k", true);
-  ASSERT_NE(cache.Lookup(Value(1), "k"), nullptr);
+  cache.Record(Value(1), Call("k", "f"), true);
+  ASSERT_NE(cache.Lookup(Value(1), Call("k", "f")), nullptr);
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.Lookup(Value(1), "k"), nullptr);
+  EXPECT_EQ(cache.Lookup(Value(1), Call("k", "f")), nullptr);
   EXPECT_EQ(cache.stats().records, 1);
 }
 
@@ -592,6 +596,38 @@ TEST(RejectCacheTest, SolveWarmsScreenRefutation) {
   // After an epoch flush the memo is gone: the screen defers again.
   memo.SyncEpoch(1, 99);
   EXPECT_EQ(solver.TestSatisfiability(doomed), SolveOutcome::kSatDeferred);
+}
+
+// A record keys its call by the exact arguments: 1000000.25 and 1000000.75
+// print alike ("1e+06") at the default stream precision, but a membership
+// recorded for double_of(1000000.25) says nothing about double_of(1000000.75).
+TEST(RejectCacheTest, DistinctDoubleArgumentsAreDistinctCalls) {
+  class DoubleOf : public DcaEvaluator {
+   public:
+    Result<DcaResult> Evaluate(const std::string&, const std::string&,
+                               const std::vector<Value>& args) override {
+      return DcaResult::Finite({Value(args.at(0).numeric() * 2)});
+    }
+  } eval;
+  RejectCache memo;
+  SolverOptions opts;
+  opts.reject_cache = &memo;
+  Solver solver(&eval, opts);
+  auto literal = [](double x, double y) {  // X = x & Y = y & in(Y, f(X))
+    Constraint c;
+    c.Add(Primitive::Eq(V(0), Term::Const(Value(x))));
+    c.Add(Primitive::Eq(V(1), Term::Const(Value(y))));
+    c.Add(Primitive::In(V(1), DomainCall{"f", "double_of", {V(0)}}));
+    return c;
+  };
+  // Records (2000001.5, f:double_of(1000000.25)) = not a member.
+  EXPECT_EQ(solver.Solve(literal(1000000.25, 2000001.5)),
+            SolveOutcome::kUnsat);
+  EXPECT_EQ(memo.size(), 1u);
+  const Constraint member = literal(1000000.75, 2000001.5);
+  EXPECT_EQ(solver.TestSatisfiability(member), SolveOutcome::kSatDeferred);
+  EXPECT_EQ(solver.Solve(member), SolveOutcome::kSat);
+  EXPECT_EQ(solver.stats().reject_cache_hits, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <string>
 
 #include "common/rng.h"
 #include "constraint/simplify.h"
@@ -246,6 +247,48 @@ TEST_P(SolverGridProperty, SolveAgreesWithBruteForce) {
                           << "\nconstraint: " << c.ToString();
     }
   }
+}
+
+// Renders Analyze's class descriptions for comparison.
+std::string Describe(const Result<std::vector<VarDomainInfo>>& r) {
+  if (!r.ok()) return "error: " + r.status().ToString();
+  std::string out;
+  for (const VarDomainInfo& info : *r) {
+    out += "{";
+    for (VarId m : info.members) out += std::to_string(m) + " ";
+    out += info.bound ? "bound " + info.bound->ToString() : "unbound";
+    if (info.candidates) {
+      out += " candidates";
+      for (const Value& v : *info.candidates) out += " " + v.ToString();
+    }
+    out += " interval " + info.interval.ToString() + " excluded";
+    for (const Value& v : info.excluded) out += " " + v.ToString();
+    out += info.touched_by_deferred ? " deferred}" : "}";
+  }
+  return out;
+}
+
+// The call memo changes no answer: one Solver shared by every trial — its
+// memo carrying call results across Solve and Analyze calls — gives the
+// outcomes and class descriptions a fresh Solver gives for each call.
+TEST_P(SolverGridProperty, SharedSolverMatchesFreshSolvers) {
+  Rng rng(GetParam() * 104729 + 7);
+  GridEvaluator eval;
+  Solver shared(&eval);
+
+  for (int trial = 0; trial < 60; ++trial) {
+    int n = static_cast<int>(rng.Int(1, kMaxVars));
+    Constraint c = RandomConstraint(&rng, n, 2);
+    Solver fresh(&eval);
+    EXPECT_EQ(shared.Solve(c), fresh.Solve(c))
+        << "seed " << GetParam() << " trial " << trial
+        << "\nconstraint: " << c.ToString();
+    Solver fresh_analyze(&eval);
+    EXPECT_EQ(Describe(shared.Analyze(c)), Describe(fresh_analyze.Analyze(c)))
+        << "seed " << GetParam() << " trial " << trial
+        << "\nconstraint: " << c.ToString();
+  }
+  EXPECT_GT(shared.stats().dca_evaluations, 0);
 }
 
 // Brute-force satisfiability on an explicitly given range.
