@@ -3,9 +3,13 @@
 #ifndef MMV_COMMON_STRINGS_H_
 #define MMV_COMMON_STRINGS_H_
 
+#include <charconv>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
+
+#include "common/result.h"
 
 namespace mmv {
 
@@ -26,6 +30,23 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 
 /// \brief printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
+
+/// \brief Strict parse of the whole of \p s into the number type T through
+/// std::from_chars: decimal digits (plus a leading '-' for signed T; a
+/// fraction and exponent for floating T), nothing else. A value outside
+/// T's range is a ParseError naming \p what, never a wrapped, clamped or
+/// thrown value.
+template <typename T>
+Result<T> ParseDecimal(std::string_view s, std::string_view what) {
+  T v{};
+  const char* end = s.data() + s.size();
+  auto [stop, ec] = std::from_chars(s.data(), end, v);
+  if (s.empty() || ec != std::errc() || stop != end) {
+    return Status::ParseError("bad " + std::string(what) + " '" +
+                              std::string(s) + "'");
+  }
+  return v;
+}
 
 }  // namespace mmv
 

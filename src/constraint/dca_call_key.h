@@ -1,6 +1,5 @@
 // DcaCallKey: the identity of one ground domain call d:f(v1, ..., vk), as
-// the memos over domain-call results key it (the solver's call memo,
-// RejectCache's call ids and DomainManager's historical call cache).
+// the solver's call memo — the one memo over domain-call results — keys it.
 //
 // Equality is exact and structural: same domain, same function, and
 // argument lists equal position by position, where two arguments are

@@ -20,22 +20,4 @@ void SolveCache::Insert(const CanonicalKey& key, SolveOutcome outcome) {
   map_.emplace(key, outcome);
 }
 
-bool SolveCache::SyncEpoch(uint64_t source, int64_t epoch) {
-  if (has_epoch_ && source_ == source && epoch_ == epoch) return false;
-  // An untagged memo may hold outcomes from engine runs that never sync
-  // (Materialize / InsertBatch populate through FixpointOptions without
-  // epoch bookkeeping), possibly computed against an older external
-  // state. Drop those too: one spurious flush on first tagging is cheap;
-  // serving a stale outcome would be unsound.
-  bool flushed = !map_.empty();
-  if (flushed) {
-    map_.clear();
-    stats_.epoch_flushes++;
-  }
-  has_epoch_ = true;
-  source_ = source;
-  epoch_ = epoch;
-  return flushed;
-}
-
 }  // namespace mmv

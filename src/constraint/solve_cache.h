@@ -7,30 +7,16 @@
 // collapses each canonical class to one real Solve.
 //
 // Validity contract: a cached outcome is only as durable as the state it
-// was computed against. Callers own the cache and must use one cache per
-// (DcaEvaluator state, SolverOptions) regime — e.g. one per materialization
-// run or per maintenance batch, during which the external database does not
-// change — and Clear() or drop it when that state moves. The cache is not
-// thread-safe; keep it with the Solver that owns it.
-//
-// Catalog-epoch tag: long-lived caches (a memo threaded through many
-// maintenance batches of a read-mostly mediator) call SyncEpoch with the
-// evaluator's identity and current state epoch (DcaEvaluator::instance_id
-// / StateEpoch) at each batch boundary; the memo survives untouched while
-// the external database stands still and flushes exactly when it moved.
-// maint::ApplyBatch does this for the cache handed to it through
-// FixpointOptions::solve_cache. Note the view's OWN atoms are not part of
-// the solver's state — Solve decides pure constraint satisfiability
-// against the domains — so view maintenance alone never invalidates the
-// memo.
-//
-// Residual caller obligation: the tag only observes state at SyncEpoch
-// call sites. Populating a TAGGED memo through paths that never sync
-// (Materialize / ContinueFixpoint / standalone InsertBatch via
-// FixpointOptions::solve_cache) while the evaluator is at a DIFFERENT
-// state (e.g. pinned to a historical tick) plants entries the next
-// same-epoch SyncEpoch cannot detect — the original one-cache-per-state
-// contract above still applies to such interleavings.
+// was computed against. Callers own the cache and use one cache per
+// (DcaEvaluator state, SolverOptions) regime — one per materialization
+// run, per maintenance pass or per batch, during which the external
+// database does not change — and Clear() or drop it when that state moves.
+// The cache carries no epoch tag; the Solver's call memo is the one memo
+// that tracks the evaluator's state on its own. The view's OWN atoms are
+// not part of the solver's state — Solve decides pure constraint
+// satisfiability against the domains — so view maintenance alone never
+// invalidates the memo. The cache is not thread-safe; keep it with the
+// Solver that owns it.
 
 #ifndef MMV_CONSTRAINT_SOLVE_CACHE_H_
 #define MMV_CONSTRAINT_SOLVE_CACHE_H_
@@ -50,7 +36,6 @@ struct SolveCacheStats {
   int64_t hits = 0;
   int64_t misses = 0;
   int64_t full = 0;  ///< inserts dropped because the cache was at capacity
-  int64_t epoch_flushes = 0;  ///< SyncEpoch calls that dropped the memo
 };
 
 /// \brief Memo of Solve outcomes keyed by CanonicalConstraintKey.
@@ -71,24 +56,6 @@ class SolveCache {
   /// \brief Drops every entry (stats survive).
   void Clear() { map_.clear(); }
 
-  /// \brief Tags the memo with the external database's current state:
-  /// \p source identifies the evaluator (DcaEvaluator::instance_id — epoch
-  /// values are only comparable within one evaluator) and \p epoch its
-  /// DcaEvaluator::StateEpoch.
-  ///
-  /// Calls with the tagged (source, epoch) pair are no-ops; any other call
-  /// (a different evaluator, a different epoch, or the first tagging of a
-  /// memo that already holds entries — those may predate the given state)
-  /// drops every entry before (re-)tagging. Returns true iff entries were
-  /// dropped.
-  bool SyncEpoch(uint64_t source, int64_t epoch);
-
-  /// \brief The tagged epoch, or -1 when never tagged.
-  int64_t epoch() const { return has_epoch_ ? epoch_ : -1; }
-
-  /// \brief The tagged evaluator id, or 0 when never tagged.
-  uint64_t epoch_source() const { return has_epoch_ ? source_ : 0; }
-
   size_t size() const { return map_.size(); }
   const SolveCacheStats& stats() const { return stats_; }
 
@@ -98,9 +65,6 @@ class SolveCache {
 
  private:
   size_t max_entries_;
-  bool has_epoch_ = false;
-  uint64_t source_ = 0;
-  int64_t epoch_ = 0;
   SolveCacheStats stats_;
   std::unordered_map<CanonicalKey, SolveOutcome, CanonicalKey::Hasher> map_;
   std::string scratch_;

@@ -1,7 +1,6 @@
 #include "constraint/solver.h"
 
 #include "constraint/canonical.h"
-#include "constraint/reject_cache.h"
 #include "constraint/solve_cache.h"
 
 #include <algorithm>
@@ -182,8 +181,7 @@ struct DerefResult {
 // go through the owning Solver's call memo.
 class Solver::ConjunctionState {
  public:
-  ConjunctionState(Solver* solver, RejectCache* reject_cache)
-      : solver_(solver), reject_cache_(reject_cache) {}
+  explicit ConjunctionState(Solver* solver) : solver_(solver) {}
 
   SolveOutcome Run(const std::vector<Primitive>& prims) {
     solver_->stats_.literals_processed += static_cast<int64_t>(prims.size());
@@ -458,13 +456,6 @@ class Solver::ConjunctionState {
     if (res->kind == DcaResultKind::kFinite) {
       if (x.is_value) {
         bool member = HasCandidate(*res->values, x.value);
-        // A decided ground membership is a pure fact about the external
-        // database at the current epoch — record it (whatever the literal's
-        // sign or outcome) so later satisfiability screens can refute
-        // matching literals without a full solve.
-        if (reject_cache_ != nullptr) {
-          reject_cache_->Record(x.value, call, member);
-        }
         return member == positive ? ProcessResult::kResolved
                                   : ProcessResult::kUnsat;
       }
@@ -484,9 +475,6 @@ class Solver::ConjunctionState {
     if (x.is_value) {
       bool member =
           x.value.is_numeric() && res->interval.Contains(x.value.numeric());
-      if (reject_cache_ != nullptr) {
-        reject_cache_->Record(x.value, call, member);
-      }
       return member == positive ? ProcessResult::kResolved
                                 : ProcessResult::kUnsat;
     }
@@ -631,7 +619,6 @@ class Solver::ConjunctionState {
   }
 
   Solver* solver_;
-  RejectCache* reject_cache_;  ///< membership recording sink; may be null
 
   std::unordered_map<VarId, VarId> parent_;
   std::unordered_map<VarId, ClassInfo> classes_;
@@ -692,7 +679,7 @@ SolveOutcome Solver::SolveConjunctionWithSplits(std::vector<Primitive>* prims,
                                                 int64_t* budget) {
   if (--(*budget) < 0) return SolveOutcome::kSatDeferred;
   stats_.choice_branches++;
-  ConjunctionState state(this, options_.reject_cache);
+  ConjunctionState state(this);
   SolveOutcome o = state.Run(*prims);
   if (o != SolveOutcome::kSatDeferred || !options_.split_candidates) {
     return o;
@@ -865,8 +852,7 @@ bool Solver::ScreenEq(const Constraint& c, uint32_t scope) {
 
 // Deterministic non-eq screens (disequalities, comparisons). Mirrors
 // ProcessNeq / ProcessCmp on the resolvable cases only; DCA literals are
-// screened separately (ScreenDca) AFTER every deterministic screen, so the
-// deterministic rejection count never depends on memo contents.
+// left to the full solver.
 bool Solver::ScreenRest(const Constraint& c, uint32_t scope) {
   for (const Primitive& p : c.prims()) {
     switch (p.kind) {
@@ -911,41 +897,6 @@ bool Solver::ScreenRest(const Constraint& c, uint32_t scope) {
   return false;
 }
 
-// Memo-backed DCA screen: a literal in(x, call) / not in(x, call) whose
-// lhs and call arguments all resolve is refuted when the RejectCache holds
-// the opposite membership. Records only exist for calls the full solver
-// actually decided (same epoch, same evaluator), so the full solver's
-// ProcessDca reaches the same membership and returns kUnsat.
-bool Solver::ScreenDca(const Constraint& c, uint32_t scope) {
-  if (options_.reject_cache == nullptr || evaluator_ == nullptr ||
-      !options_.evaluate_dca) {
-    return false;
-  }
-  for (const Primitive& p : c.prims()) {
-    if (p.kind != PrimKind::kIn && p.kind != PrimKind::kNotIn) continue;
-    const Value* x = ScreenResolve(scope, p.lhs);
-    if (x == nullptr) continue;
-    screen_call_.args.clear();
-    bool ground = true;
-    for (const Term& t : p.call.args) {
-      const Value* v = ScreenResolve(scope, t);
-      if (v == nullptr) {
-        ground = false;
-        break;
-      }
-      screen_call_.args.push_back(*v);
-    }
-    if (!ground) continue;
-    screen_call_.domain = p.call.domain;
-    screen_call_.function = p.call.function;
-    const bool* member = options_.reject_cache->Lookup(*x, screen_call_);
-    if (member != nullptr && *member != (p.kind == PrimKind::kIn)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 SolveOutcome Solver::TestSatisfiability(const Constraint& c) {
   stats_.sat_prechecks++;
   if (c.is_false()) {
@@ -959,10 +910,6 @@ SolveOutcome Solver::TestSatisfiability(const Constraint& c) {
   ScreenReset();
   if (ScreenEq(c, 0) || ScreenEq(c, 0) || ScreenRest(c, 0)) {
     stats_.sat_rejects++;
-    return SolveOutcome::kUnsat;
-  }
-  if (ScreenDca(c, 0)) {
-    stats_.reject_cache_hits++;
     return SolveOutcome::kUnsat;
   }
   return SolveOutcome::kSatDeferred;
@@ -1031,19 +978,6 @@ bool Solver::RejectJoin(const Constraint& clause_constraint,
       return true;
     }
   }
-  // Memo refutations last, counted apart: the deterministic reject count
-  // must not depend on whether this pass had a reject cache (parallel
-  // slices run without one).
-  if (ScreenDca(clause_constraint, 0)) {
-    stats_.reject_cache_hits++;
-    return true;
-  }
-  for (size_t i = 0; i < body.size(); ++i) {
-    if (ScreenDca(*body[i].inst_constraint, static_cast<uint32_t>(i) + 1)) {
-      stats_.reject_cache_hits++;
-      return true;
-    }
-  }
   return false;
 }
 
@@ -1052,9 +986,7 @@ Result<std::vector<VarDomainInfo>> Solver::Analyze(const Constraint& c) {
     return Status::InvalidArgument("Analyze called on false constraint");
   }
   dca_memo_checked_ = false;
-  // Analyze runs outside the maintenance epoch-sync discipline (query
-  // enumeration), so it neither records into nor consults the reject memo.
-  ConjunctionState state(this, nullptr);
+  ConjunctionState state(this);
   SolveOutcome o = state.Run(c.prims());
   if (o == SolveOutcome::kUnsat) {
     return Status::InvalidArgument(

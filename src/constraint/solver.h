@@ -105,7 +105,7 @@ class DcaEvaluator {
  public:
   DcaEvaluator();
   /// Copies get a FRESH identity: a copied evaluator is a distinct state
-  /// source as far as epoch-gated memos are concerned (mirrors Program).
+  /// source as far as the call memo is concerned (mirrors Program).
   DcaEvaluator(const DcaEvaluator& other);
   DcaEvaluator& operator=(const DcaEvaluator& other);
   virtual ~DcaEvaluator() = default;
@@ -115,18 +115,17 @@ class DcaEvaluator {
 
   /// \brief Process-unique identity of this evaluator instance. Epoch
   /// values (StateEpoch) are only comparable BETWEEN calls on one
-  /// evaluator; memo gates pair the epoch with this id so two different
-  /// evaluators that happen to report the same epoch value are never
-  /// confused (see SolveCache::SyncEpoch).
+  /// evaluator; the Solver's call memo pairs the epoch with this id so two
+  /// different evaluators that happen to report the same epoch value are
+  /// never confused.
   uint64_t instance_id() const { return instance_id_; }
 
   /// \brief Tag of the external state Evaluate() reads: two calls at the
-  /// same epoch see the same function meanings, so solver memos stay valid
-  /// while the epoch stands still. It gates SolveCache::SyncEpoch,
-  /// RejectCache::SyncEpoch and every Solver's own call memo, which keeps
-  /// Evaluate() results across Solve/Analyze calls and checks the epoch
-  /// once per call: an evaluator whose answers change MUST move its
-  /// epoch, or a long-lived Solver keeps serving the old answers.
+  /// same epoch see the same function meanings. It gates every Solver's
+  /// call memo — the one epoch-tagged memo — which keeps Evaluate()
+  /// results across Solve/Analyze calls and checks the epoch once per
+  /// call: an evaluator whose answers change MUST move its epoch, or a
+  /// long-lived Solver keeps serving the old answers.
   /// Epochs are opaque — compare them only for equality; they are not
   /// monotone (pinning evaluation to a historical tick legitimately moves
   /// the epoch backward). Stateless evaluators keep the default constant
@@ -142,7 +141,7 @@ class DcaEvaluator {
   /// on a mismatch). Parallel fixpoint rounds and StDel lift sweeps fan
   /// out only over an evaluator reporting true; defaults to false, which
   /// runs those passes on one thread. DomainManager reports true when
-  /// every registered domain is a pure reader and its call cache is off.
+  /// every registered domain is a pure reader.
   virtual bool ConcurrentReadSafe() const { return false; }
 
  private:
@@ -180,7 +179,6 @@ struct VarDomainInfo {
 };
 
 class SolveCache;
-class RejectCache;
 
 /// \brief Tuning knobs for the solver.
 struct SolverOptions {
@@ -207,13 +205,6 @@ struct SolverOptions {
   /// off; off ($MMV_SOLVER_FASTPATH=off) keeps the slow path as the
   /// differential oracle.
   bool fastpath = true;
-  /// Optional pairwise rejection memo (constraint/reject_cache.h). Not
-  /// owned; same state-scoping contract as `cache`. Ground DCA
-  /// memberships decided inside full Solves are recorded here, and
-  /// TestSatisfiability consults the records AFTER its deterministic
-  /// screens. Null disables recording and lookup (parallel passes run
-  /// null — the cache is not thread-safe).
-  RejectCache* reject_cache = nullptr;
 };
 
 /// \brief Satisfiability engine for constraints.
@@ -244,12 +235,12 @@ class Solver {
   /// \brief Linear may-satisfiability screen, sound for REJECTION only:
   /// kUnsat is returned only when the full Solve would also return kUnsat
   /// (bottom/top literals, ground comparisons, trivially contradictory
-  /// conjuncts, empty interval screens, and — after every deterministic
-  /// screen — RejectCache membership refutations). Anything it cannot
-  /// refute is kSatDeferred ("may be satisfiable": no verdict), except the
-  /// trivially-true constraint, which is kSat. No union-find, no
-  /// allocation beyond amortized member scratch, negated blocks ignored
-  /// (the positive part alone refuting suffices). Requires
+  /// conjuncts, empty interval screens; DCA literals are left to the full
+  /// solver). Anything it cannot refute is kSatDeferred ("may be
+  /// satisfiable": no verdict), except the trivially-true constraint,
+  /// which is kSat. No union-find, no allocation beyond amortized member
+  /// scratch, negated blocks ignored (the positive part alone refuting
+  /// suffices). Requires
   /// options.max_choice_branches >= 1 to reject — a budget-starved full
   /// Solve reports kSatDeferred for everything, and the screen must never
   /// be stricter than its oracle.
@@ -320,7 +311,6 @@ class Solver {
   bool ScreenEqPair(uint32_t scope_l, const Term& l, uint32_t scope_r,
                     const Term& r);
   bool ScreenRest(const Constraint& c, uint32_t scope);
-  bool ScreenDca(const Constraint& c, uint32_t scope);
   const Value* ScreenResolve(uint32_t scope, const Term& t) const;
   void ScreenReset();
 
@@ -343,7 +333,6 @@ class Solver {
   // outlive the screen call.
   std::unordered_map<uint64_t, const Value*> screen_bound_;
   std::unordered_map<uint64_t, Interval> screen_intervals_;
-  DcaCallKey screen_call_;  // ground DCA call being screened
 };
 
 }  // namespace mmv

@@ -64,9 +64,7 @@ struct CounterInfo {
   C(int64_t, sat_prechecks, kStrategy,                                       \
     "satisfiability pre-screens run (TestSatisfiability / RejectJoin)")      \
   C(int64_t, sat_rejects, kStrategy,                                         \
-    "screens that refuted deterministically, no memo consulted")             \
-  C(int64_t, reject_cache_hits, kStrategy,                                   \
-    "screens refuted by a RejectCache record")
+    "screens that refuted deterministically, no memo consulted")
 
 // Plan-layer and fan-out counters of one engine pass: spliced into
 // FixpointStats, StDelStats and BatchStats. A layer that does not
@@ -144,10 +142,12 @@ struct CounterInfo {
   C(size_t, insertion_pass_atoms, kWork, "externals plus consequences")      \
   MMV_PASS_COUNTERS(C)                                                       \
   C(int64_t, solve_epoch_flushes, kStrategy,                                 \
-    "caller solver memo flushed: the external database's epoch moved")      \
+    "always 0; kept because perfbench/report.cc reports it")                 \
   C(int64_t, reject_epoch_flushes, kStrategy,                                \
-    "caller rejection memo flushed for the same reason")                     \
+    "always 0; kept because perfbench/report.cc reports it")                 \
   MMV_SAT_COUNTERS(C)                                                        \
+  C(int64_t, reject_cache_hits, kStrategy,                                   \
+    "always 0; kept because perfbench/report.cc reports it")                 \
   C(int64_t, epochs_published, kWork, "view epochs published to readers")    \
   C(int64_t, snapshot_nodes_shared, kWork,                                   \
     "posting segments the image re-pointed at the previous epoch")           \

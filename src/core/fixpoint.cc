@@ -10,7 +10,6 @@
 #include <unordered_set>
 
 #include "constraint/canonical.h"
-#include "constraint/reject_cache.h"
 #include "constraint/simplify.h"
 #include "core/thread_pool.h"
 #include "plan/partition.h"
@@ -667,8 +666,7 @@ class Engine {
         evaluator_(evaluator),
         options_(options),
         stats_(stats),
-        solver_(evaluator, SolverOptionsFor(options, &local_cache_,
-                                            &local_reject_cache_)),
+        solver_(evaluator, SolverOptionsFor(options, &local_cache_)),
         factory_(program.factory()),
         // Early ground rejection is behavior-preserving only when the
         // engine provably drops statically contradictory joins: simplify
@@ -753,20 +751,10 @@ class Engine {
 
  private:
   static SolverOptions SolverOptionsFor(const FixpointOptions& o,
-                                        SolveCache* local,
-                                        RejectCache* local_reject) {
+                                        SolveCache* local) {
     SolverOptions s = o.solver;
     if (o.join_mode == JoinMode::kIndexed && s.cache == nullptr) {
-      s.cache = o.solve_cache != nullptr ? o.solve_cache : local;
-    }
-    // The rejection memo rides the same wiring: caller-shared when
-    // provided, run-local otherwise, and only where the fast path can
-    // consult it. Off-mode runs get neither recording nor lookups, so the
-    // oracle replay never touches memo state.
-    if (o.join_mode == JoinMode::kIndexed && s.fastpath &&
-        s.reject_cache == nullptr) {
-      s.reject_cache =
-          o.reject_cache != nullptr ? o.reject_cache : local_reject;
+      s.cache = local;
     }
     return s;
   }
@@ -951,12 +939,10 @@ class Engine {
       // any shared memo's (fixed evaluator state), and a slice-owned one
       // keeps the pass free of cross-thread coordination. Never share a
       // memo across threads — even a caller-provided one
-      // (options.solver.cache / options.solve_cache) is swapped out here;
-      // SolveCache is not synchronized. RejectCache is not synchronized
-      // either, so slices run without one (no lookups, no recording).
+      // (options.solver.cache) is swapped out here; SolveCache is not
+      // synchronized.
       SolverOptions solver_options = options_.solver;
       solver_options.cache = s.cache;
-      solver_options.reject_cache = nullptr;
       Solver solver(evaluator_, solver_options);
       VarFactory factory;
       factory.ReserveAbove(kStagingVarBase);
@@ -1066,7 +1052,6 @@ class Engine {
   FixpointOptions options_;
   FixpointStats* stats_;
   SolveCache local_cache_;  // used when kIndexed and no caller-shared cache
-  RejectCache local_reject_cache_;  // ditto, for the pairwise rejection memo
   Solver solver_;
   VarFactory factory_;
   const bool indexed_;

@@ -118,9 +118,9 @@ struct FixpointOptions {
   ///
   /// Precondition for fan-out: the evaluator is null or reports
   /// DcaEvaluator::ConcurrentReadSafe(), because workers call it without
-  /// serialization. With any other evaluator — e.g. a DomainManager with
-  /// its call cache on — every round runs on one thread, as do naive-join
-  /// and fallback configurations, whatever this value says.
+  /// serialization. With any other evaluator — e.g. a DomainManager over a
+  /// domain that is not a pure reader — every round runs on one thread, as
+  /// do naive-join and fallback configurations, whatever this value says.
   int num_threads = 1;
   /// Optional compiled-plan cache shared across engine runs. Pass one
   /// cache through a sequence of continuations / maintenance passes so
@@ -128,24 +128,15 @@ struct FixpointOptions {
   /// cache revalidates against the program's identity on use. When null,
   /// the engine plans within the single run.
   plan::PlanCache* plan_cache = nullptr;
-  /// Optional solver memo shared across engine runs (kIndexed only). Pass
-  /// one cache through a sequence of ContinueFixpoint continuations so
-  /// constraints re-solved across flushes hit the memo; the caller must
-  /// keep it scoped to one external-database state (see solve_cache.h).
-  /// When null, the engine memoizes within the single run.
-  SolveCache* solve_cache = nullptr;
-  /// Optional pairwise rejection memo shared across engine runs (kIndexed
-  /// only), the fast-path sibling of solve_cache: ground DCA memberships
-  /// decided inside full Solves are recorded and later screens refute
-  /// matching literals without solving. Same state-scoping contract as
-  /// solve_cache (maint::ApplyBatch epoch-syncs both side by side). When
-  /// null, the engine memoizes within the single run.
-  RejectCache* reject_cache = nullptr;
   /// Solver configuration for T_P solvability checks. solver.fastpath
   /// (default on; $MMV_SOLVER_FASTPATH=off in the benches/tests) gates the
   /// satisfiability pre-check AND the executor's pre-rename join screen —
   /// both sound for rejection only, so views, support multisets and
-  /// work-product counters are byte-identical either way.
+  /// work-product counters are byte-identical either way. solver.cache
+  /// (kIndexed only) shares one SolveCache across engine runs, e.g. the
+  /// ContinueFixpoint continuations of one batch; the caller keeps it
+  /// scoped to one external-database state (see solve_cache.h). When
+  /// null, the engine memoizes within the single run.
   SolverOptions solver;
 };
 

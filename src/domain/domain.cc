@@ -32,24 +32,9 @@ Result<DcaResult> DomainManager::EvaluateAt(const std::string& domain,
                                             const std::string& function,
                                             const std::vector<Value>& args,
                                             int64_t tick) {
-  // Historical snapshots are immutable; the current tick may still mutate.
-  std::unordered_map<DcaCallKey, DcaResult, DcaCallKey::Hash>* at_tick =
-      nullptr;
-  DcaCallKey key;
-  if (cache_enabled_ && tick < clock_->now()) {
-    at_tick = &call_cache_[tick];
-    key = DcaCallKey{domain, function, args};
-    auto it = at_tick->find(key);
-    if (it != at_tick->end()) {
-      cache_hits_++;
-      return it->second;
-    }
-  }
   MMV_ASSIGN_OR_RETURN(Domain * d, Get(domain));
   call_count_.fetch_add(1, std::memory_order_relaxed);
-  MMV_ASSIGN_OR_RETURN(DcaResult result, d->CallAt(function, args, tick));
-  if (at_tick != nullptr) at_tick->emplace(std::move(key), result);
-  return result;
+  return d->CallAt(function, args, tick);
 }
 
 Result<FunctionDelta> DomainManager::Delta(const std::string& domain,

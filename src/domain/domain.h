@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "constraint/dca_call_key.h"
 #include "constraint/solver.h"
 #include "relational/catalog.h"
 
@@ -152,36 +151,18 @@ class DomainManager : public DcaEvaluator {
   void ResetCallCount() { call_count_.store(0, std::memory_order_relaxed); }
 
   /// \brief DcaEvaluator hook: concurrent evaluation is safe exactly when
-  /// every registered domain's evaluation path is a pure read AND the call
-  /// cache is off (EvaluateAt fills call_cache_ when enabled — a write).
-  /// The call counter is atomic, so it is not a disqualifier. Parallel
-  /// passes fan out only when this is true, and then evaluate through this
-  /// manager directly under the single-writer epoch contract (StateEpoch
-  /// captured before the fan-out, re-checked after, loud failure on
-  /// mismatch); otherwise they run on one thread.
+  /// every registered domain's evaluation path is a pure read. The call
+  /// counter is atomic, so it is not a disqualifier. Parallel passes fan
+  /// out only when this is true, and then evaluate through this manager
+  /// directly under the single-writer epoch contract (StateEpoch captured
+  /// before the fan-out, re-checked after, loud failure on mismatch);
+  /// otherwise they run on one thread.
   bool ConcurrentReadSafe() const override {
-    if (cache_enabled_) return false;
     for (const auto& [name, domain] : domains_) {
       if (!domain->ConcurrentCallSafe()) return false;
     }
     return true;
   }
-
-  /// \brief Enables memoization of *historical* evaluations (tick strictly
-  /// before the clock's now — those snapshots are immutable, so the cache
-  /// never goes stale; current-tick calls are always evaluated live).
-  /// Calls are keyed per tick by their exact DcaCallKey.
-  ///
-  /// This realizes the paper's Section 5 remark that materializing the
-  /// external function calls (Kemper/Kilger/Moerkotte-style function
-  /// materialization) complements the view-level machinery.
-  void EnableCallCache(bool enabled) {
-    cache_enabled_ = enabled;
-    if (!enabled) call_cache_.clear();
-  }
-
-  /// \brief Number of cache hits served (for benchmarks).
-  int64_t cache_hits() const { return cache_hits_; }
 
  private:
   rel::Clock* clock_;
@@ -190,12 +171,6 @@ class DomainManager : public DcaEvaluator {
   // Atomic so the ConcurrentReadSafe() fast path can count calls from
   // worker threads; relaxed ordering is enough for a statistics counter.
   std::atomic<int64_t> call_count_{0};
-  bool cache_enabled_ = false;
-  int64_t cache_hits_ = 0;
-  // tick -> call -> result
-  std::unordered_map<
-      int64_t, std::unordered_map<DcaCallKey, DcaResult, DcaCallKey::Hash>>
-      call_cache_;
 };
 
 }  // namespace dom

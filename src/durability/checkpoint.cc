@@ -31,21 +31,6 @@ std::string Padded(uint64_t v) {
   return buf;
 }
 
-// Strict decimal parse of the whole of \p s into T: digits only (plus a
-// leading '-' for signed T), and a value outside T's range is an error,
-// never a wrapped value.
-template <typename T>
-Result<T> ParseDecimal(std::string_view s, std::string_view what) {
-  T v{};
-  const char* end = s.data() + s.size();
-  auto [stop, ec] = std::from_chars(s.data(), end, v);
-  if (s.empty() || ec != std::errc() || stop != end) {
-    return Status::ParseError("checkpoint: bad " + std::string(what) + " '" +
-                              std::string(s) + "'");
-  }
-  return v;
-}
-
 // Exactly 8 lowercase hex digits, as Hex32 writes them: an uppercase digit
 // would parse to the same value from different bytes.
 Result<uint32_t> ParseHex32(std::string_view s, std::string_view what) {

@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "constraint/canonical.h"
-#include "constraint/reject_cache.h"
 #include "plan/plan_cache.h"
 
 namespace mmv {
@@ -203,43 +202,6 @@ Status ApplyBatch(const Program& program, View* view,
   if (batch_options.plan_cache == nullptr) {
     batch_options.plan_cache = &batch_plans;
   }
-  // Epoch-gate a caller-shared solver memo: the memo survives from batch
-  // to batch — view maintenance never changes what Solve sees — and is
-  // flushed here exactly when the external state moved underneath it: a
-  // different evaluator instance, or the same evaluator at a different
-  // state epoch (its clock's effective tick + same-tick mutation count).
-  if (batch_options.solve_cache != nullptr) {
-    bool flushed = batch_options.solve_cache->SyncEpoch(
-        evaluator != nullptr ? evaluator->instance_id() : 0,
-        evaluator != nullptr ? evaluator->StateEpoch() : 0);
-    if (flushed) stats->solve_epoch_flushes++;
-  }
-  // The pairwise rejection memo rides the identical contract: a
-  // caller-shared RejectCache survives from batch to batch and is flushed
-  // here exactly when the catalog epoch moved; absent a caller one, a
-  // batch-local memo spans this burst's delete and insert passes. Only
-  // wired when the fast path can consult it — the off-mode oracle replay
-  // runs memo-free.
-  RejectCache batch_reject_cache;
-  if (batch_options.solver.fastpath) {
-    if (batch_options.reject_cache == nullptr) {
-      batch_options.reject_cache = &batch_reject_cache;
-    }
-    bool flushed = batch_options.reject_cache->SyncEpoch(
-        evaluator != nullptr ? evaluator->instance_id() : 0,
-        evaluator != nullptr ? evaluator->StateEpoch() : 0);
-    if (flushed) stats->reject_epoch_flushes++;
-  }
-  // Delete passes share the same memo (step-3 lifts and the step-4 prune
-  // re-solve canonically identical constraints across runs of one burst).
-  SolverOptions delete_solver = batch_options.solver;
-  if (delete_solver.cache == nullptr &&
-      batch_options.solve_cache != nullptr) {
-    delete_solver.cache = batch_options.solve_cache;
-  }
-  if (delete_solver.fastpath && delete_solver.reject_cache == nullptr) {
-    delete_solver.reject_cache = batch_options.reject_cache;
-  }
 
   // Execute maximal same-kind runs: one multi-atom StDel pass per delete
   // run, one Add pass + seminaive continuation per insert run.
@@ -255,7 +217,7 @@ Status ApplyBatch(const Program& program, View* view,
       if (plan.ops[i].kind == Update::Kind::kDelete) {
         StDelStats s;
         MMV_RETURN_NOT_OK(DeleteStDelBatch(program, view, requests, evaluator,
-                                           delete_solver, &s,
+                                           batch_options.solver, &s,
                                            batch_options.plan_cache,
                                            batch_options.num_threads));
         AddDeletePass(s, requests.size(), stats);

@@ -138,17 +138,16 @@ struct BatchStats {
 /// smallest clause number found anywhere in the view's support trees
 /// (external leaves included), so supports stay collision-free.
 ///
-/// Cross-batch memos: a SolveCache passed through
-/// \p options.solve_cache survives from batch to batch — ApplyBatch tags
-/// it with the evaluator's catalog epoch (DcaEvaluator::StateEpoch: the
-/// effective tick folded with the clock's same-tick mutation counter) and
-/// flushes it only when the external database actually changed (plus once
-/// at first tagging if the memo already holds pre-tag entries), the
-/// read-mostly mediator's big win. A plan::PlanCache passed through
-/// \p options.plan_cache likewise carries compiled clause plans across
-/// batches (it revalidates against the program identity by itself); when
-/// absent, one batch-local instance spans this batch's delete and insert
-/// passes.
+/// Memos: a SolveCache passed through \p options.solver.cache is shared by
+/// every delete and insert pass of the batch; absent one, each pass keeps
+/// its own. Like any SolveCache it holds for one external-database state
+/// only (see solve_cache.h): a caller that keeps it across batches drops
+/// or clears it whenever the evaluator's state moves. Domain calls need no
+/// caller memo — each pass's Solver keeps its own epoch-tagged call memo.
+/// A plan::PlanCache passed through \p options.plan_cache carries
+/// compiled clause plans across batches (it revalidates against the
+/// program identity by itself); when absent, one batch-local instance
+/// spans this batch's delete and insert passes.
 ///
 /// Snapshot publication: when \p snapshots is non-null, ONE new view epoch
 /// is published there after the whole burst applied cleanly (the epoch

@@ -3,7 +3,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "constraint/reject_cache.h"
 #include "plan/plan_cache.h"
 
 namespace mmv {
@@ -64,27 +63,10 @@ Status InsertBatch(const Program& program, View* view,
   // database is fixed for the duration of the batch, which is exactly the
   // cache's validity contract.
   SolveCache batch_cache;
-  RejectCache batch_reject_cache;
   FixpointOptions fix_options = options;
-  SolverOptions solver_options = options.solver;
-  if (options.join_mode == JoinMode::kIndexed) {
-    if (fix_options.solve_cache == nullptr) {
-      fix_options.solve_cache = &batch_cache;
-    }
-    if (solver_options.cache == nullptr) {
-      solver_options.cache = fix_options.solve_cache;
-    }
-    // The rejection memo shares the batch-wide lifetime and validity
-    // contract of the solve cache; the fast path never consults it when
-    // disabled, so the off-mode oracle runs memo-free.
-    if (options.solver.fastpath) {
-      if (fix_options.reject_cache == nullptr) {
-        fix_options.reject_cache = &batch_reject_cache;
-      }
-      if (solver_options.reject_cache == nullptr) {
-        solver_options.reject_cache = fix_options.reject_cache;
-      }
-    }
+  if (options.join_mode == JoinMode::kIndexed &&
+      fix_options.solver.cache == nullptr) {
+    fix_options.solver.cache = &batch_cache;
   }
   // One plan cache for the whole batch: every flushed continuation below
   // reuses the clause plans compiled by the first, instead of recompiling
@@ -92,7 +74,7 @@ Status InsertBatch(const Program& program, View* view,
   // takes precedence and carries the plans across insert runs too.
   plan::PlanCache batch_plans;
   if (fix_options.plan_cache == nullptr) fix_options.plan_cache = &batch_plans;
-  Solver solver(evaluator, solver_options);
+  Solver solver(evaluator, fix_options.solver);
 
   // Build the Add set incrementally: each request is diffed against the
   // view INCLUDING the externals appended for earlier requests, so a

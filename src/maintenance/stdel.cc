@@ -4,7 +4,6 @@
 #include <iterator>
 #include <memory>
 
-#include "constraint/reject_cache.h"
 #include "constraint/simplify.h"
 #include "constraint/solve_cache.h"
 #include "core/thread_pool.h"
@@ -126,14 +125,8 @@ Status DeleteStDelBatch(const Program& program, View* view,
   // repeated subtraction shapes), and the external database is fixed for
   // the duration of the batch — the cache's validity contract.
   SolveCache batch_cache;
-  RejectCache batch_reject_cache;
   SolverOptions cached_options = solver_options;
   if (cached_options.cache == nullptr) cached_options.cache = &batch_cache;
-  // Rejection memo: same batch lifetime and validity contract. Only wired
-  // when the fast path can consult it, so off-mode runs stay memo-free.
-  if (cached_options.fastpath && cached_options.reject_cache == nullptr) {
-    cached_options.reject_cache = &batch_reject_cache;
-  }
   Solver solver(evaluator, cached_options);
   VarFactory factory = FreshFactory(program, *view, requests);
 
@@ -275,7 +268,6 @@ Status DeleteStDelBatch(const Program& program, View* view,
               SolverOptions item_options = cached_options;
               item_options.cache = nullptr;  // never share a memo across
                                              // threads (not synchronized)
-              item_options.reject_cache = nullptr;  // ditto
               Solver item_solver(evaluator, item_options);
               SolveOutcome o = item_solver.Solve(lifted);  // condition (c)
               out.solver = item_solver.stats();

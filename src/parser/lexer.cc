@@ -2,6 +2,8 @@
 
 #include <cctype>
 
+#include "common/strings.h"
+
 namespace mmv {
 namespace parser {
 
@@ -122,13 +124,19 @@ Result<std::vector<Token>> Lex(std::string_view src) {
         }
         ++i;
       }
-      std::string text(src.substr(start, i - start));
+      std::string_view text = src.substr(start, i - start);
       Token t = make(is_float ? TokKind::kFloat : TokKind::kInt);
-      t.text = text;
+      t.text = std::string(text);
+      // Checked parses: a literal out of range is a ParseError, never an
+      // exception or a wrapped value.
       if (is_float) {
-        t.float_val = std::stod(text);
+        Result<double> v = ParseDecimal<double>(text, "float literal");
+        if (!v.ok()) return error(v.status().message());
+        t.float_val = *v;
       } else {
-        t.int_val = std::stoll(text);
+        Result<int64_t> v = ParseDecimal<int64_t>(text, "integer literal");
+        if (!v.ok()) return error(v.status().message());
+        t.int_val = *v;
       }
       col += static_cast<int>(i - start);
       out.push_back(std::move(t));

@@ -71,21 +71,20 @@ class SupportParser {
     ++pos_;
     SkipSpace();
     // Clause number (possibly negative for external supports).
-    bool neg = false;
-    if (pos_ < s_.size() && s_[pos_] == '-') {
-      neg = true;
-      ++pos_;
-    }
+    size_t start = pos_;
+    if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
     if (pos_ >= s_.size() || !isdigit(static_cast<unsigned char>(s_[pos_]))) {
       return Status::ParseError("expected clause number in support at " +
                                 Where());
     }
-    int num = 0;
     while (pos_ < s_.size() && isdigit(static_cast<unsigned char>(s_[pos_]))) {
-      num = num * 10 + (s_[pos_] - '0');
       ++pos_;
     }
-    if (neg) num = -num;
+    Result<int> num = ParseDecimal<int>(s_.substr(start, pos_ - start),
+                                        "clause number in support");
+    if (!num.ok()) {
+      return Status::ParseError(num.status().message() + " at " + Where());
+    }
     std::vector<Support> children;
     SkipSpace();
     while (pos_ < s_.size() && s_[pos_] == ',') {
@@ -98,7 +97,7 @@ class SupportParser {
       return Status::ParseError("expected '>' in support at " + Where());
     }
     ++pos_;
-    return Support(num, std::move(children));
+    return Support(*num, std::move(children));
   }
 
   std::string_view s_;
@@ -176,21 +175,15 @@ Result<View> DeserializeView(std::string_view text, Program* program) {
     int depth = 0;
     size_t hash = line.rfind(" # ");
     if (hash != std::string_view::npos) {
-      std::string d(Trim(line.substr(hash + 3)));
-      // Strict decimal parse: std::stoi would silently accept trailing
-      // garbage ("3x" -> 3) and a corrupt depth would slip through.
-      bool neg = !d.empty() && d[0] == '-';
-      std::string_view digits = std::string_view(d).substr(neg ? 1 : 0);
-      bool valid = !digits.empty() && digits.size() <= 9;
-      for (char c : digits) {
-        if (c < '0' || c > '9') valid = false;
+      // At most 9 digits: |depth| < 10^9.
+      std::string_view field = Trim(line.substr(hash + 3));
+      Result<int> d = ParseDecimal<int>(field, "depth field");
+      if (d.ok() && (*d > 999999999 || *d < -999999999)) {
+        d = Status::ParseError("bad depth field '" + std::string(field) +
+                               "'");
       }
-      if (!valid) {
-        return AtLine(line_no,
-                      Status::ParseError("bad depth field: '" + d + "'"));
-      }
-      for (char c : digits) depth = depth * 10 + (c - '0');
-      if (neg) depth = -depth;
+      if (!d.ok()) return AtLine(line_no, d.status());
+      depth = *d;
       line = Trim(line.substr(0, hash));
     }
     size_t at = line.rfind(" @ ");

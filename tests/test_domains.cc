@@ -224,6 +224,55 @@ TEST_F(DomainsTest, ManagerErrors) {
             StatusCode::kInvalidArgument);
 }
 
+// arith:times keeps the kind of its operands: int times int is an int,
+// a double operand makes a double, and 1000000.25 and 1000000.75 (which
+// print alike at the default stream precision) give two answers.
+TEST_F(DomainsTest, ArithTimesKeepsIntAndDoubleApart) {
+  auto times_two = [&](Value x) {
+    return Unwrap(Call("arith", "times", {x, Value(2)})).values.at(0);
+  };
+  EXPECT_TRUE(times_two(Value(int64_t{2})).is_int());
+  EXPECT_TRUE(times_two(Value(2.0)).is_double());
+  EXPECT_EQ(times_two(Value(1000000.25)), Value(2000000.5));
+  EXPECT_EQ(times_two(Value(1000000.75)), Value(2000001.5));
+
+  // Through a long-lived Solver, 2 and 2.0 are two calls; repeating
+  // one is served from the call memo.
+  Solver solver(world_.domains.get());
+  world_.domains->ResetCallCount();
+  for (Value x : {Value(int64_t{2}), Value(2.0), Value(int64_t{2})}) {
+    Constraint c;
+    c.Add(Primitive::In(Term::Var(0),
+                        DomainCall{"arith", "times",
+                                   {Term::Const(x), Term::Const(Value(2))}}));
+    EXPECT_EQ(solver.Solve(c), SolveOutcome::kSat);
+  }
+  EXPECT_EQ(world_.domains->call_count(), 2);
+}
+
+// A Solver kept across Solves serves a repeated call from its call memo,
+// but a same-tick Catalog::Insert moves the manager's state epoch, so the
+// next Solve evaluates live and sees the new row.
+TEST_F(DomainsTest, LongLivedSolverSeesSameTickInsert) {
+  ASSERT_TRUE(world_.catalog->CreateTable(rel::Schema{"t", {"k"}}).ok());
+  ASSERT_TRUE(world_.catalog->Insert("t", {Value("a")}).ok());
+  Constraint two_rows;  // 2 in rel:count(t)
+  two_rows.Add(Primitive::In(Term::Const(Value(2)),
+                             DomainCall{"rel", "count",
+                                        {Term::Const(Value("t"))}}));
+  Solver solver(world_.domains.get());
+  world_.domains->ResetCallCount();
+  EXPECT_EQ(solver.Solve(two_rows), SolveOutcome::kUnsat);
+  EXPECT_EQ(solver.Solve(two_rows), SolveOutcome::kUnsat);
+  EXPECT_EQ(world_.domains->call_count(), 1);
+
+  int64_t tick = world_.catalog->clock().now();
+  ASSERT_TRUE(world_.catalog->Insert("t", {Value("b")}).ok());
+  ASSERT_EQ(world_.catalog->clock().now(), tick);
+  EXPECT_EQ(solver.Solve(two_rows), SolveOutcome::kSat);
+  EXPECT_EQ(world_.domains->call_count(), 2);
+}
+
 TEST_F(DomainsTest, CallCountTracksEvaluations) {
   world_.domains->ResetCallCount();
   ASSERT_TRUE(Call("arith", "plus", {Value(1), Value(2)}).ok());

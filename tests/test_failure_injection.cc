@@ -106,78 +106,5 @@ TEST_P(FailureInjectionTest, EnumerateSurfacesErrors) {
 INSTANTIATE_TEST_SUITE_P(Budgets, FailureInjectionTest,
                          ::testing::Values(0, 1, 2, 3, 5, 8, 13, 21));
 
-TEST(CallCacheTest, HistoricalCallsAreMemoized) {
-  TestWorld w = TestWorld::Make();
-  ASSERT_TRUE(w.catalog->CreateTable(rel::Schema{"t", {"k"}}).ok());
-  ASSERT_TRUE(w.catalog->Insert("t", {Value("a")}).ok());
-  w.catalog->clock().Advance();  // tick 0 is now historical
-
-  w.domains->EnableCallCache(true);
-  w.domains->ResetCallCount();
-  for (int i = 0; i < 5; ++i) {
-    auto r = w.domains->EvaluateAt("rel", "scan", {Value("t")}, 0);
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r->values.size(), 1u);
-  }
-  EXPECT_EQ(w.domains->call_count(), 1);  // one live evaluation
-  EXPECT_EQ(w.domains->cache_hits(), 4);
-}
-
-// The cache keys a call by its exact arguments: 1000000.25 and 1000000.75
-// print alike ("1e+06") at the default stream precision, and 2 and 2.0
-// are equal Values, yet each is its own call and reaches the domain.
-TEST(CallCacheTest, DistinctDoubleArgumentsReachTheDomain) {
-  TestWorld w = TestWorld::Make();
-  w.catalog->clock().Advance();  // tick 0 is now historical
-  w.domains->EnableCallCache(true);
-  w.domains->ResetCallCount();
-  auto times_two = [&](Value x) {
-    return Unwrap(w.domains->EvaluateAt("arith", "times", {x, Value(2)}, 0));
-  };
-  EXPECT_EQ(times_two(Value(1000000.25)).values,
-            std::vector<Value>{Value(2000000.5)});
-  EXPECT_EQ(times_two(Value(1000000.75)).values,
-            std::vector<Value>{Value(2000001.5)});
-  EXPECT_EQ(w.domains->call_count(), 2);
-  EXPECT_TRUE(times_two(Value(int64_t{2})).values.at(0).is_int());
-  EXPECT_TRUE(times_two(Value(2.0)).values.at(0).is_double());
-  EXPECT_EQ(w.domains->call_count(), 4);
-  EXPECT_EQ(w.domains->cache_hits(), 0);
-  times_two(Value(1000000.75));  // a repeated call is served from the cache
-  EXPECT_EQ(w.domains->call_count(), 4);
-  EXPECT_EQ(w.domains->cache_hits(), 1);
-}
-
-TEST(CallCacheTest, CurrentTickNeverCached) {
-  TestWorld w = TestWorld::Make();
-  ASSERT_TRUE(w.catalog->CreateTable(rel::Schema{"t", {"k"}}).ok());
-  w.domains->EnableCallCache(true);
-
-  ASSERT_TRUE(w.catalog->Insert("t", {Value("a")}).ok());
-  auto r1 = w.domains->Evaluate("rel", "scan", {Value("t")});
-  ASSERT_TRUE(r1.ok());
-  EXPECT_EQ(r1->values.size(), 1u);
-
-  // Mutate within the same tick: the next evaluation must see it.
-  ASSERT_TRUE(w.catalog->Insert("t", {Value("b")}).ok());
-  auto r2 = w.domains->Evaluate("rel", "scan", {Value("t")});
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r2->values.size(), 2u);
-  EXPECT_EQ(w.domains->cache_hits(), 0);
-}
-
-TEST(CallCacheTest, DisableClearsCache) {
-  TestWorld w = TestWorld::Make();
-  ASSERT_TRUE(w.catalog->CreateTable(rel::Schema{"t", {"k"}}).ok());
-  ASSERT_TRUE(w.catalog->Insert("t", {Value("a")}).ok());
-  w.catalog->clock().Advance();
-  w.domains->EnableCallCache(true);
-  ASSERT_TRUE(w.domains->EvaluateAt("rel", "scan", {Value("t")}, 0).ok());
-  w.domains->EnableCallCache(false);
-  w.domains->ResetCallCount();
-  ASSERT_TRUE(w.domains->EvaluateAt("rel", "scan", {Value("t")}, 0).ok());
-  EXPECT_EQ(w.domains->call_count(), 1);  // evaluated live again
-}
-
 }  // namespace
 }  // namespace mmv

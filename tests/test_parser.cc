@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "parser/lexer.h"
 #include "test_util.h"
 
@@ -139,6 +142,28 @@ TEST(ParserTest, ParseErrors) {
   EXPECT_FALSE(parser::ParseProgram("p(X) <- in(X).").ok());
   EXPECT_FALSE(parser::ParseProgram("p(X) <- X.").ok());
   EXPECT_FALSE(parser::ParseProgram("(X) <- q(X).").ok());
+}
+
+// Number literals out of range are a ParseError Status, not an uncaught
+// std::out_of_range from the lexer.
+TEST(ParserTest, OutOfRangeNumberLiteralsAreParseErrors) {
+  Result<Program> big_int =
+      parser::ParseProgram("p(X) <- X = 99999999999999999999.");
+  ASSERT_FALSE(big_int.ok());
+  EXPECT_EQ(big_int.status().code(), StatusCode::kParseError);
+
+  Result<Program> big_float = parser::ParseProgram(
+      "p(X) <- X = " + std::string(400, '9') + ".5.");
+  ASSERT_FALSE(big_float.ok());
+  EXPECT_EQ(big_float.status().code(), StatusCode::kParseError);
+
+  // The extremes that do fit still parse.
+  Program edge = ParseOrDie(
+      "p(X) <- X = -9223372036854775808. q(X) <- X = 9223372036854775807.");
+  EXPECT_EQ(edge.clauses()[0].constraint.prims()[0].rhs.constant(),
+            Value(std::numeric_limits<int64_t>::min()));
+  EXPECT_EQ(edge.clauses()[1].constraint.prims()[0].rhs.constant(),
+            Value(std::numeric_limits<int64_t>::max()));
 }
 
 TEST(ParserTest, ParseConstrainedAtom) {

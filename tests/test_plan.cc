@@ -1,6 +1,6 @@
 // Unit tests for the clause-plan compilation layer: the cost model's
 // ordering on hand-built clauses, plan-cache lifetime (program-identity
-// invalidation, adaptive recompiles), the epoch-tagged solver memo, and
+// invalidation, adaptive recompiles), the evaluator's state epoch, and
 // the loud-failure engine-option parsing.
 
 #include <gtest/gtest.h>
@@ -182,55 +182,13 @@ TEST(PlanCacheTest, SharedAcrossEngineRuns) {
   EXPECT_GT(second.plan_cache_hits, first.plan_cache_hits);
 }
 
-// ---- epoch-tagged solver memo --------------------------------------------
-
-TEST(SolveCacheEpochTest, SyncEpochFlushesOnlyOnChange) {
-  SolveCache cache;
-  EXPECT_EQ(cache.epoch(), -1);
-  // first tag of an EMPTY memo: no flush
-  EXPECT_FALSE(cache.SyncEpoch(/*source=*/1, /*epoch=*/3));
-  EXPECT_EQ(cache.epoch(), 3);
-  EXPECT_EQ(cache.epoch_source(), 1u);
-  EXPECT_FALSE(cache.SyncEpoch(1, 3));  // same state: no flush
-
-  SolverOptions opts;
-  opts.cache = &cache;
-  Solver solver(nullptr, opts);
-  Constraint c;
-  c.Add(Primitive::Eq(Term::Var(1), Term::Const(Value(5))));
-  solver.Solve(c);
-  EXPECT_EQ(cache.size(), 1u);
-
-  EXPECT_TRUE(cache.SyncEpoch(1, 4));  // the external database moved
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().epoch_flushes, 1);
-  EXPECT_EQ(cache.epoch(), 4);
-
-  // A DIFFERENT evaluator reporting the same epoch value is a different
-  // state: epochs are only comparable within one evaluator.
-  solver.Solve(c);
-  ASSERT_EQ(cache.size(), 1u);
-  EXPECT_TRUE(cache.SyncEpoch(/*source=*/2, /*epoch=*/4));
-  EXPECT_EQ(cache.size(), 0u);
-
-  // A memo populated through engine runs BEFORE its first tagging may
-  // hold outcomes from an older external state: the first SyncEpoch must
-  // drop them (one spurious flush beats serving a stale outcome).
-  SolveCache untagged;
-  SolverOptions opts2;
-  opts2.cache = &untagged;
-  Solver solver2(nullptr, opts2);
-  solver2.Solve(c);
-  ASSERT_EQ(untagged.size(), 1u);
-  EXPECT_TRUE(untagged.SyncEpoch(1, 9));
-  EXPECT_EQ(untagged.size(), 0u);
-}
+// ---- evaluator state epoch -----------------------------------------------
 
 // Same-tick table writes (the convenience Catalog::Insert/Delete path)
 // must move the evaluator's state epoch even though the clock tick stands
-// still — otherwise an epoch-gated memo would survive a real external
-// change.
-TEST(SolveCacheEpochTest, SameTickMutationMovesTheEpoch) {
+// still — otherwise the solver's epoch-tagged call memo would survive a
+// real external change.
+TEST(StateEpochTest, SameTickMutationMovesTheEpoch) {
   TestWorld w = TestWorld::Make();
   int64_t before = w.domains->StateEpoch();
   w.catalog->clock().NoteMutation();
@@ -243,66 +201,6 @@ TEST(SolveCacheEpochTest, SameTickMutationMovesTheEpoch) {
   int64_t after_advance = w.domains->StateEpoch();
   w.handles.spatial->AddAddress("key", 1.0, 2.0);
   EXPECT_NE(w.domains->StateEpoch(), after_advance);
-}
-
-// ApplyBatch keeps a caller-shared memo across batches while the domain
-// clock stands still, and flushes it exactly when the clock moved.
-TEST(SolveCacheEpochTest, MemoSurvivesBatchesUntilExternalChange) {
-  TestWorld w = TestWorld::Make();
-  Program p = workload::MakeChain(3, 4);
-  // Materialize WITHOUT the shared memo: the memo's first ApplyBatch
-  // tagging flushes pre-tag entries, which is exercised by the unit test
-  // above; here we pin the cross-batch survival contract.
-  View v = Unwrap(Materialize(p, w.domains.get(), FixpointOptions()));
-  FixpointOptions opts;
-  SolveCache memo;
-  opts.solve_cache = &memo;
-  int ext = 0;
-
-  auto burst = [&p](int value, bool del) {
-    maint::UpdateAtom atom =
-        ParseUpdate("p0(X) <- X = " + std::to_string(value) + ".", &p);
-    return std::vector<maint::Update>{
-        del ? maint::Update::Delete(std::move(atom))
-            : maint::Update::Insert(std::move(atom))};
-  };
-
-  maint::BatchStats stats;
-  ASSERT_TRUE(maint::ApplyBatch(p, &v, burst(100, false), w.domains.get(),
-                                opts, &stats, &ext)
-                  .ok());
-  EXPECT_EQ(stats.solve_epoch_flushes, 0);
-  EXPECT_EQ(memo.epoch(), w.domains->StateEpoch());
-
-  // Seed a sentinel entry so survival / flushing is directly observable.
-  {
-    SolverOptions sopts;
-    sopts.cache = &memo;
-    Solver solver(w.domains.get(), sopts);
-    Constraint c;
-    c.Add(Primitive::Cmp(Term::Var(900), CmpOp::kGe, Term::Const(Value(1))));
-    c.Add(Primitive::Cmp(Term::Var(900), CmpOp::kLe, Term::Const(Value(9))));
-    solver.Solve(c);
-  }
-  size_t entries_after_first = memo.size();
-  ASSERT_GT(entries_after_first, 0u);
-
-  // Second batch, same external state: the memo survives.
-  ASSERT_TRUE(maint::ApplyBatch(p, &v, burst(101, false), w.domains.get(),
-                                opts, &stats, &ext)
-                  .ok());
-  EXPECT_EQ(stats.solve_epoch_flushes, 0);
-  EXPECT_EQ(memo.stats().epoch_flushes, 0);
-  EXPECT_GE(memo.size(), entries_after_first);
-
-  // The external database changes: the next batch must flush the memo.
-  w.catalog->clock().Advance();
-  ASSERT_TRUE(maint::ApplyBatch(p, &v, burst(100, true), w.domains.get(),
-                                opts, &stats, &ext)
-                  .ok());
-  EXPECT_EQ(stats.solve_epoch_flushes, 1);
-  EXPECT_EQ(memo.stats().epoch_flushes, 1);
-  EXPECT_EQ(memo.epoch(), w.domains->StateEpoch());
 }
 
 // A plan cache threaded through ApplyBatch carries compiled plans across

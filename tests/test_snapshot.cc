@@ -355,8 +355,8 @@ TEST(SnapshotConcurrency, ReaderPinsStableEpochsDuringBatches) {
   store.Publish(initial);  // epoch 1
 
   // The reader shares the evaluator with the writer: the standard domains
-  // are ConcurrentCallSafe and the call cache is off, so DomainManager is
-  // ConcurrentReadSafe — the production serving configuration.
+  // are ConcurrentCallSafe, so DomainManager is ConcurrentReadSafe — the
+  // production serving configuration.
   std::atomic<bool> stop{false};
   std::vector<std::pair<uint64_t, std::set<std::string>>> observed;
   std::atomic<bool> reader_failed{false};

@@ -1,5 +1,4 @@
-// Solver fast path: TestSatisfiability / RejectJoin soundness and the
-// RejectCache memo.
+// Solver fast path: TestSatisfiability / RejectJoin soundness.
 //
 // The contract under test is ONE-SIDED: the screens may only refute what
 // the full decision procedure (the $MMV_SOLVER_FASTPATH=off oracle) would
@@ -9,11 +8,8 @@
 //     kUnsat; a brute-force grid witness contradicts precheck kUnsat; and
 //     Solve outcomes are identical with the fast path on and off);
 //   - satisfiable constraints over all six standard domains (arith, tuple,
-//     rel, spatial, faces, text), screened cold and again after a full
-//     Solve has warmed the rejection memo.
-// Plus unit tests of the RejectCache itself: both-polarity records, the
-// never-interning Lookup, capacity, and the SolveCache-mirrored SyncEpoch
-// invalidation contract.
+//     rel, spatial, faces, text), screened before and after a full Solve
+//     on the same solver.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +19,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "constraint/reject_cache.h"
 #include "constraint/solver.h"
 #include "test_util.h"
 
@@ -35,10 +30,6 @@ using testutil::Unwrap;
 
 Term V(VarId v) { return Term::Var(v); }
 Term C(int64_t v) { return Term::Const(Value(v)); }
-// A nullary ground call d:f(), as the RejectCache tests key their records.
-DcaCallKey Call(const char* domain, const char* function) {
-  return DcaCallKey{domain, function, {}};
-}
 
 // The scripted finite evaluator of test_solver_property.cc, restated here
 // (anonymous namespaces do not share): evens/small are fixed sets, succ and
@@ -336,10 +327,7 @@ class FastpathGridProperty : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(FastpathGridProperty, PrecheckNeverStricterThanOracle) {
   Rng rng(GetParam());
   GridEvaluator eval;
-  RejectCache memo;
-  SolverOptions on;
-  on.reject_cache = &memo;  // warm memo must not change any verdict
-  Solver fast(&eval, on);
+  Solver fast(&eval);
   SolverOptions off;
   off.fastpath = false;
   Solver oracle(&eval, off);
@@ -361,8 +349,7 @@ TEST_P(FastpathGridProperty, PrecheckNeverStricterThanOracle) {
           << c.ToString();
     }
     // The fast path changes no Solve outcome — byte-identical to the
-    // oracle (its Solve call also records memberships into the memo,
-    // warming it for later trials without perturbing verdicts).
+    // oracle.
     EXPECT_EQ(fast.Solve(c), slow)
         << "seed " << GetParam() << " trial " << trial << "\nconstraint: "
         << c.ToString();
@@ -373,29 +360,27 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FastpathGridProperty,
                          ::testing::Range(uint64_t{200}, uint64_t{212}));
 
 // ---------------------------------------------------------------------------
-// Standard domains: satisfiable constraints are never rejected, cold or
-// with a memo warmed by the full Solve.
+// Standard domains: satisfiable constraints are never rejected, before or
+// after a full Solve on the same solver.
 // ---------------------------------------------------------------------------
 
 class FastpathDomainsTest : public ::testing::Test {
  protected:
   void SetUp() override { world_ = TestWorld::Make(); }
 
-  // Screens cold, solves (recording memberships into the memo), then
-  // screens again warm: a satisfiable constraint must never be rejected.
+  // Screens, solves, then screens again: a satisfiable constraint must
+  // never be rejected. The screen reads no solver state (ScreenEq and
+  // ScreenRest never consult the call memo), so the second screen repeats
+  // the first; it guards against a future screen that does keep state.
   void ExpectNeverRejected(const Constraint& c) {
-    RejectCache memo;
-    SolverOptions opts;
-    opts.reject_cache = &memo;
-    Solver solver(world_.domains.get(), opts);
+    Solver solver(world_.domains.get());
     EXPECT_NE(solver.TestSatisfiability(c), SolveOutcome::kUnsat)
-        << "cold screen rejected: " << c.ToString();
+        << "screen rejected: " << c.ToString();
     SolveOutcome full = solver.Solve(c);
     EXPECT_TRUE(IsSolvable(full)) << c.ToString() << "\n"
                                   << solver.last_status().ToString();
     EXPECT_NE(solver.TestSatisfiability(c), SolveOutcome::kUnsat)
-        << "warm screen rejected (memo recorded " << memo.size()
-        << " pairs): " << c.ToString();
+        << "screen after Solve rejected: " << c.ToString();
   }
 
   TestWorld world_;
@@ -470,164 +455,6 @@ TEST_F(FastpathDomainsTest, TextSatisfiableNeverRejected) {
   ground.Add(Primitive::In(Term::Const(Value("d1")),
                            DomainCall{"text", "match", {word}}));
   ExpectNeverRejected(ground);
-}
-
-// ---------------------------------------------------------------------------
-// RejectCache: records, lookups, capacity, epoch invalidation.
-// ---------------------------------------------------------------------------
-
-TEST(RejectCacheTest, RecordsBothPolarities) {
-  RejectCache cache;
-  cache.Record(Value(3), Call("g", "evens"), false);
-  cache.Record(Value(4), Call("g", "evens"), true);
-
-  const bool* odd = cache.Lookup(Value(3), Call("g", "evens"));
-  ASSERT_NE(odd, nullptr);
-  EXPECT_FALSE(*odd);
-  const bool* even = cache.Lookup(Value(4), Call("g", "evens"));
-  ASSERT_NE(even, nullptr);
-  EXPECT_TRUE(*even);
-
-  EXPECT_EQ(cache.Lookup(Value(5), Call("g", "evens")), nullptr);
-  EXPECT_EQ(cache.Lookup(Value(3), Call("g", "small")), nullptr);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().records, 2);
-  EXPECT_EQ(cache.stats().hits, 2);
-  EXPECT_EQ(cache.stats().misses, 2);
-}
-
-TEST(RejectCacheTest, ReRecordingIsANoOp) {
-  RejectCache cache;
-  cache.Record(Value(3), Call("g", "evens"), false);
-  cache.Record(Value(3), Call("g", "evens"), false);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.stats().records, 1);
-}
-
-TEST(RejectCacheTest, CapacityDropsNewPairsNeverEvicts) {
-  RejectCache cache(/*max_entries=*/2);
-  cache.Record(Value(1), Call("k", "f"), true);
-  cache.Record(Value(2), Call("k", "f"), true);
-  cache.Record(Value(3), Call("k", "f"), true);  // dropped
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().full, 1);
-  EXPECT_NE(cache.Lookup(Value(1), Call("k", "f")), nullptr);
-  EXPECT_NE(cache.Lookup(Value(2), Call("k", "f")), nullptr);
-  EXPECT_EQ(cache.Lookup(Value(3), Call("k", "f")), nullptr);
-  // Re-recording an existing pair at capacity is still the no-op, not a
-  // drop.
-  cache.Record(Value(1), Call("k", "f"), true);
-  EXPECT_EQ(cache.stats().full, 1);
-}
-
-TEST(RejectCacheTest, SyncEpochMirrorsSolveCacheContract) {
-  RejectCache cache;
-  EXPECT_EQ(cache.epoch(), -1);
-  EXPECT_EQ(cache.epoch_source(), 0u);
-
-  // First tagging of an EMPTY memo drops nothing.
-  EXPECT_FALSE(cache.SyncEpoch(/*source=*/7, /*epoch=*/5));
-  cache.Record(Value(1), Call("k", "f"), true);
-
-  // Same (source, epoch): no-op, the memo survives.
-  EXPECT_FALSE(cache.SyncEpoch(7, 5));
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.epoch(), 5);
-  EXPECT_EQ(cache.epoch_source(), 7u);
-
-  // The epoch moved: flush.
-  EXPECT_TRUE(cache.SyncEpoch(7, 6));
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.epoch(), 6);
-  EXPECT_EQ(cache.stats().epoch_flushes, 1);
-  EXPECT_EQ(cache.Lookup(Value(1), Call("k", "f")), nullptr);
-
-  // A different evaluator at the SAME epoch value is a different state
-  // source: flush again (nothing to drop here, so false).
-  cache.Record(Value(2), Call("k", "f"), false);
-  EXPECT_TRUE(cache.SyncEpoch(8, 6));
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.epoch_source(), 8u);
-}
-
-TEST(RejectCacheTest, ClearDropsEntriesKeepsStats) {
-  RejectCache cache;
-  cache.Record(Value(1), Call("k", "f"), true);
-  ASSERT_NE(cache.Lookup(Value(1), Call("k", "f")), nullptr);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.Lookup(Value(1), Call("k", "f")), nullptr);
-  EXPECT_EQ(cache.stats().records, 1);
-}
-
-// End-to-end: a full Solve records the decided ground membership; the next
-// screen of the same doomed literal refutes from the memo, counted as a
-// reject_cache_hit (memo-dependent, distinct from the deterministic
-// sat_rejects).
-TEST(RejectCacheTest, SolveWarmsScreenRefutation) {
-  GridEvaluator eval;
-  RejectCache memo;
-  SolverOptions opts;
-  opts.reject_cache = &memo;
-  Solver solver(&eval, opts);
-
-  Constraint doomed;  // 3 in evens: ground, false
-  doomed.Add(Primitive::In(C(3), DomainCall{"g", "evens", {}}));
-
-  // Cold: the deterministic screens defer In literals, so the first Solve
-  // runs the full procedure — and records (3, g:evens) = false.
-  EXPECT_EQ(solver.Solve(doomed), SolveOutcome::kUnsat);
-  EXPECT_GT(memo.size(), 0u);
-  EXPECT_EQ(solver.stats().reject_cache_hits, 0);
-
-  // Warm: the screen refutes from the record before any solving.
-  EXPECT_EQ(solver.TestSatisfiability(doomed), SolveOutcome::kUnsat);
-  EXPECT_EQ(solver.stats().reject_cache_hits, 1);
-
-  // A recorded membership refutes the OPPOSITE polarity too.
-  Constraint not_in;  // not(3 in evens) is satisfiable; 4 in evens recorded
-  Constraint sat;     // 4 in evens: true — screen must NOT refute
-  sat.Add(Primitive::In(C(4), DomainCall{"g", "evens", {}}));
-  EXPECT_EQ(solver.Solve(sat), SolveOutcome::kSat);
-  Constraint doomed_notin;
-  doomed_notin.Add(Primitive::NotInCall(C(4), DomainCall{"g", "evens", {}}));
-  EXPECT_EQ(solver.TestSatisfiability(doomed_notin), SolveOutcome::kUnsat);
-
-  // After an epoch flush the memo is gone: the screen defers again.
-  memo.SyncEpoch(1, 99);
-  EXPECT_EQ(solver.TestSatisfiability(doomed), SolveOutcome::kSatDeferred);
-}
-
-// A record keys its call by the exact arguments: 1000000.25 and 1000000.75
-// print alike ("1e+06") at the default stream precision, but a membership
-// recorded for double_of(1000000.25) says nothing about double_of(1000000.75).
-TEST(RejectCacheTest, DistinctDoubleArgumentsAreDistinctCalls) {
-  class DoubleOf : public DcaEvaluator {
-   public:
-    Result<DcaResult> Evaluate(const std::string&, const std::string&,
-                               const std::vector<Value>& args) override {
-      return DcaResult::Finite({Value(args.at(0).numeric() * 2)});
-    }
-  } eval;
-  RejectCache memo;
-  SolverOptions opts;
-  opts.reject_cache = &memo;
-  Solver solver(&eval, opts);
-  auto literal = [](double x, double y) {  // X = x & Y = y & in(Y, f(X))
-    Constraint c;
-    c.Add(Primitive::Eq(V(0), Term::Const(Value(x))));
-    c.Add(Primitive::Eq(V(1), Term::Const(Value(y))));
-    c.Add(Primitive::In(V(1), DomainCall{"f", "double_of", {V(0)}}));
-    return c;
-  };
-  // Records (2000001.5, f:double_of(1000000.25)) = not a member.
-  EXPECT_EQ(solver.Solve(literal(1000000.25, 2000001.5)),
-            SolveOutcome::kUnsat);
-  EXPECT_EQ(memo.size(), 1u);
-  const Constraint member = literal(1000000.75, 2000001.5);
-  EXPECT_EQ(solver.TestSatisfiability(member), SolveOutcome::kSatDeferred);
-  EXPECT_EQ(solver.Solve(member), SolveOutcome::kSat);
-  EXPECT_EQ(solver.stats().reject_cache_hits, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "common/strings.h"
 
 namespace mmv {
@@ -41,6 +44,20 @@ TEST(StringsTest, EndsWith) {
   EXPECT_TRUE(EndsWith("abc", ""));
   EXPECT_FALSE(EndsWith("bc", "abc"));
   EXPECT_FALSE(EndsWith("abx", "bc"));
+}
+
+TEST(StringsTest, ParseDecimal) {
+  EXPECT_EQ(*ParseDecimal<int>("-42", "n"), -42);
+  EXPECT_EQ(*ParseDecimal<uint64_t>("18446744073709551615", "n"),
+            UINT64_MAX);
+  EXPECT_EQ(*ParseDecimal<double>("2.5", "x"), 2.5);
+  for (const char* bad : {"", "-", "+1", "1x", " 1", "2147483648"}) {
+    Result<int> r = ParseDecimal<int>(bad, "n");
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError) << bad;
+  }
+  EXPECT_FALSE(ParseDecimal<uint64_t>("-1", "n").ok());
+  EXPECT_FALSE(ParseDecimal<double>(std::string(400, '9') + ".5", "x").ok());
 }
 
 TEST(StringsTest, StrFormat) {

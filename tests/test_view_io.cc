@@ -129,6 +129,26 @@ TEST(ViewIoTest, CommentsAndBlanksIgnored) {
   EXPECT_EQ(loaded.size(), 1u);
 }
 
+// A support clause number or a depth outside int's range is a ParseError
+// Status, not a signed overflow.
+TEST(ViewIoTest, OutOfRangeNumbersAreParseErrors) {
+  Program p;
+  Result<View> support =
+      parser::DeserializeView("p(1) <- true @ <99999999999> # 0\n", &p);
+  ASSERT_FALSE(support.ok());
+  EXPECT_EQ(support.status().code(), StatusCode::kParseError);
+  Result<View> depth =
+      parser::DeserializeView("p(1) <- true @ <1> # 99999999999\n", &p);
+  ASSERT_FALSE(depth.ok());
+  EXPECT_EQ(depth.status().code(), StatusCode::kParseError);
+  EXPECT_FALSE(parser::DeserializeView("p(1) <- true @ <1> # 3x\n", &p).ok());
+
+  View edge = Unwrap(parser::DeserializeView(
+      "p(1) <- true @ <-2147483648> # 999999999\n", &p));
+  EXPECT_EQ(edge.atoms()[0].support.ToString(), "<-2147483648>");
+  EXPECT_EQ(edge.atoms()[0].depth, 999999999);
+}
+
 TEST(ViewIoTest, MissingSupportIsError) {
   Program p;
   EXPECT_FALSE(parser::DeserializeView("a(X0) <- X0 = 1\n", &p).ok());
