@@ -67,7 +67,7 @@ int main() {
   // first maintenance pass, checkpointed every 2 bursts.
   durability::MemFs disk;
   durability::FaultPlan plan;
-  plan.crash_after_writes = 4;   // the machine dies mid-workload...
+  plan.crash_after_writes = 10;  // the machine dies mid-workload...
   plan.tear_crashing_write = true;
   plan.tear_keep_bytes = 5;      // ...tearing the WAL append it was in
   durability::FaultFs faulty(&disk, plan);
@@ -88,10 +88,16 @@ int main() {
     auto a = *parser::ParseConstrainedAtom(text, &program);
     return maint::UpdateAtom{a.pred, a.args, a.constraint};
   };
+  // Bursts 1 and 3 hold doubles that need more than 6 significant digits:
+  // the checkpoint after burst 2 and the WAL record of burst 3 must carry
+  // them exactly for Recover to rebuild the view.
   const std::vector<std::vector<maint::Update>> bursts = {
+      {maint::Update::Insert(atom("reading(X) <- X = 1000000.25.")),
+       maint::Update::Insert(atom("reading(X) <- X = 1000000.75."))},
       {maint::Update::Insert(atom("flagged(D) <- D = \"memo2\".")),
        maint::Update::Delete(atom("flagged(D) <- D = \"memo1\"."))},
-      {maint::Update::Delete(atom("mentions_suspect(D) <- D = \"memo3\"."))},
+      {maint::Update::Delete(atom("mentions_suspect(D) <- D = \"memo3\".")),
+       maint::Update::Delete(atom("reading(X) <- X = 1000000.75."))},
       {maint::Update::Insert(atom("flagged(D) <- D = \"memo1\"."))},
   };
 

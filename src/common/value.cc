@@ -1,9 +1,11 @@
 #include "common/value.h"
 
+#include <charconv>
 #include <cmath>
 #include <functional>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "common/hash.h"
 
@@ -137,11 +139,15 @@ std::ostream& operator<<(std::ostream& os, const Value& v) {
       return os << v.as_int();
     case ValueKind::kDouble: {
       double d = v.as_double();
-      if (d == std::floor(d) && std::isfinite(d)) {
-        os << d << ".0";
-        return os;
-      }
-      return os << d;
+      if (!std::isfinite(d)) return os << d;
+      // The shortest text that reads back to the same bits. Text with no
+      // '.' or exponent (2, -0) gets ".0" so it lexes as a double again.
+      char buf[32];
+      char* end = std::to_chars(buf, buf + sizeof(buf), d).ptr;
+      std::string_view text(buf, static_cast<size_t>(end - buf));
+      os << text;
+      if (text.find_first_of(".e") == std::string_view::npos) os << ".0";
+      return os;
     }
     case ValueKind::kString:
       return os << '"' << v.as_string() << '"';

@@ -2,187 +2,118 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
+#include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "constraint/simplify.h"
-#include "constraint/substitution.h"
 
 namespace mmv {
 
 namespace {
 
-// Renders a primitive with every variable replaced by "_" — a key that is
-// insensitive to variable identity, used for deterministic literal ordering.
-std::string VarBlindKey(const Primitive& p) {
-  Primitive q = p;
-  auto blind = [](Term* t) {
-    if (t->is_var()) *t = Term::Var(0);
-  };
-  blind(&q.lhs);
-  if (p.kind == PrimKind::kEq || p.kind == PrimKind::kNeq ||
-      p.kind == PrimKind::kCmp) {
-    blind(&q.rhs);
-  }
-  if (p.kind == PrimKind::kIn || p.kind == PrimKind::kNotIn) {
-    for (Term& t : q.call.args) blind(&t);
-  }
-  return q.ToString();
-}
-
-std::string VarBlindKey(const NotBlock& b) {
-  std::vector<std::string> keys;
-  keys.reserve(b.prims.size() + b.inner.size());
-  for (const Primitive& p : b.prims) keys.push_back(VarBlindKey(p));
-  for (const NotBlock& i : b.inner) keys.push_back(VarBlindKey(i));
-  std::sort(keys.begin(), keys.end());
-  std::string out = "not(";
-  for (const std::string& k : keys) {
-    out += k;
-    out += '&';
-  }
-  out += ')';
-  return out;
-}
-
-// Assigns canonical variable numbers in first-appearance order.
-class Renamer {
- public:
-  Term Rename(const Term& t) {
-    if (t.is_const()) return t;
-    auto it = map_.find(t.var());
-    if (it == map_.end()) {
-      VarId fresh = static_cast<VarId>(map_.size());
-      map_[t.var()] = fresh;
-      return Term::Var(fresh);
-    }
-    return Term::Var(it->second);
-  }
-
-  Primitive Rename(const Primitive& p) {
-    Primitive q = p;
-    q.lhs = Rename(p.lhs);
-    if (p.kind == PrimKind::kEq || p.kind == PrimKind::kNeq ||
-        p.kind == PrimKind::kCmp) {
-      q.rhs = Rename(p.rhs);
-    }
-    if (p.kind == PrimKind::kIn || p.kind == PrimKind::kNotIn) {
-      for (Term& t : q.call.args) t = Rename(t);
-    }
-    return q;
-  }
-
-  // Renders a block with inner literals ordered and variables renamed.
-  std::string RenderBlock(const NotBlock& b) {
-    std::vector<Primitive> prims = b.prims;
-    std::stable_sort(prims.begin(), prims.end(),
-                     [](const Primitive& x, const Primitive& y) {
-                       return VarBlindKey(x) < VarBlindKey(y);
-                     });
-    std::vector<NotBlock> inner = b.inner;
-    std::stable_sort(inner.begin(), inner.end(),
-                     [](const NotBlock& x, const NotBlock& y) {
-                       return VarBlindKey(x) < VarBlindKey(y);
-                     });
-    std::string out = "not(";
-    bool first = true;
-    for (const Primitive& p : prims) {
-      if (!first) out += " & ";
-      out += Rename(p).ToString();
-      first = false;
-    }
-    for (const NotBlock& i : inner) {
-      if (!first) out += " & ";
-      out += RenderBlock(i);
-      first = false;
-    }
-    out += ")";
-    return out;
-  }
-
- private:
-  std::unordered_map<VarId, VarId> map_;
+// Canonical order of one conjunction: its literals and not-blocks (index
+// space: literals first, then blocks) stably sorted by their
+// variable-blind encodings, plus the same order for each nested block.
+struct MemberOrder {
+  std::vector<uint32_t> order;
+  std::vector<MemberOrder> blocks;  ///< one per not-block, declaration order
 };
 
-// Renders the full canonical form (sorted literals, renamed variables) of
-// pred(args) <- c into *out. The shared implementation behind both the
-// string and the hashed-key entry points.
-void RenderCanonicalAtom(Symbol pred, const TermVec& args, const Constraint& c,
-                         bool assume_simplified, std::string* out) {
-  const TermVec* head = &args;
-  const Constraint* constraint = &c;
-  SimplifiedAtom s;
-  if (!assume_simplified) {
-    s = SimplifyAtom(args, c);
-    head = &s.head;
-    constraint = &s.constraint;
-  }
-  if (constraint->is_false()) {
-    *out += pred.name();
-    *out += "/false";
-    return;
-  }
-
-  // Order literals deterministically by variable-blind key (stable, so
-  // literals with equal keys keep their relative order).
-  std::vector<Primitive> prims = constraint->prims();
-  std::stable_sort(prims.begin(), prims.end(),
-                   [](const Primitive& a, const Primitive& b) {
-                     return VarBlindKey(a) < VarBlindKey(b);
-                   });
-  std::vector<NotBlock> nots = constraint->nots();
-  for (NotBlock& b : nots) {
-    std::stable_sort(b.prims.begin(), b.prims.end(),
-                     [](const Primitive& a, const Primitive& b2) {
-                       return VarBlindKey(a) < VarBlindKey(b2);
-                     });
-  }
-  std::stable_sort(nots.begin(), nots.end(),
-                   [](const NotBlock& a, const NotBlock& b) {
-                     return VarBlindKey(a) < VarBlindKey(b);
-                   });
-
-  // Rename variables by first appearance: head first, then ordered literals.
-  Renamer renamer;
-  *out += pred.name();
-  *out += '(';
-  for (size_t i = 0; i < head->size(); ++i) {
-    if (i) *out += ',';
-    *out += renamer.Rename((*head)[i]).ToString();
-  }
-  *out += ") <- ";
-  bool first = true;
-  for (const Primitive& p : prims) {
-    if (!first) *out += " & ";
-    *out += renamer.Rename(p).ToString();
-    first = false;
-  }
-  for (const NotBlock& b : nots) {
-    if (!first) *out += " & ";
-    *out += renamer.RenderBlock(b);
-    first = false;
-  }
-  if (first) *out += "true";
-}
-
-// Cheap in-order renderer for the solver memo key: appends straight into
-// the scratch buffer (no literal copies, no ostringstream) with variables
-// renamed by first appearance. The encoding is injective — distinct
-// constraints render distinctly (doubles print as raw bits, strings are
-// length-prefixed) — because two constraints colliding on one key would
-// share a cached satisfiability verdict.
-class KeyRenderer {
+// The one canonical encoder. Constants are written exactly — ints in
+// decimal, doubles as their raw bits, strings length-prefixed — and every
+// token is self-delimiting, so distinct inputs encode distinctly: two
+// constraints colliding on one key would share a cached satisfiability
+// verdict, two atoms would be deduplicated as one. Variables are renamed
+// by first appearance; a blind encoder writes every variable as the same
+// token instead, which gives the ordering key of sorted mode.
+class Encoder {
  public:
-  explicit KeyRenderer(std::string* out) : out_(out) {}
+  Encoder(std::string* out, bool blind) : out_(out), blind_(blind) {}
 
-  void Append(const Constraint& c) {
-    for (const Primitive& p : c.prims()) {
+  // In-order mode: literals then blocks, as they appear.
+  void InOrder(const std::vector<Primitive>& prims,
+               const std::vector<NotBlock>& blocks) {
+    for (const Primitive& p : prims) {
       Append(p);
       out_->push_back('&');
     }
-    for (const NotBlock& b : c.nots()) {
-      Append(b);
-      out_->push_back('&');
+    for (const NotBlock& b : blocks) {
+      out_->append("N(");
+      InOrder(b.prims, b.inner);
+      out_->append(")&");
     }
+  }
+
+  // Sorted mode: members in \p order's sequence, blocks recursively.
+  void Sorted(const std::vector<Primitive>& prims,
+              const std::vector<NotBlock>& blocks, const MemberOrder& order) {
+    for (uint32_t i : order.order) {
+      if (i < prims.size()) {
+        Append(prims[i]);
+        out_->push_back('&');
+        continue;
+      }
+      size_t b = i - prims.size();
+      out_->append("N(");
+      Sorted(blocks[b].prims, blocks[b].inner, order.blocks[b]);
+      out_->append(")&");
+    }
+  }
+
+  // Sorted mode for the constrained atom pred(head) <- c: the head first,
+  // so head variables take the first canonical numbers.
+  void Atom(Symbol pred, const TermVec& head, const Constraint& c) {
+    AppendRaw(pred.name());
+    if (c.is_false()) {
+      out_->append("false");
+      return;
+    }
+    out_->push_back('(');
+    for (const Term& t : head) Append(t);
+    out_->push_back(')');
+    Sorted(c.prims(), c.nots(), Order(c.prims(), c.nots(), nullptr));
+  }
+
+  // Orders one conjunction's members by their variable-blind encodings,
+  // each computed once. When \p sorted_key is set, appends the
+  // conjunction's own blind encoding (its members' in sorted order) to it.
+  static MemberOrder Order(const std::vector<Primitive>& prims,
+                           const std::vector<NotBlock>& blocks,
+                           std::string* sorted_key) {
+    MemberOrder m;
+    size_t n = prims.size() + blocks.size();
+    std::string keys;
+    std::vector<size_t> ends;
+    ends.reserve(n);
+    Encoder blind(&keys, /*blind=*/true);
+    for (const Primitive& p : prims) {
+      blind.Append(p);
+      ends.push_back(keys.size());
+    }
+    m.blocks.reserve(blocks.size());
+    for (const NotBlock& b : blocks) {
+      keys.append("N(");
+      m.blocks.push_back(Order(b.prims, b.inner, &keys));
+      keys.push_back(')');
+      ends.push_back(keys.size());
+    }
+    auto key = [&](uint32_t i) {
+      size_t begin = i == 0 ? 0 : ends[i - 1];
+      return std::string_view(keys).substr(begin, ends[i] - begin);
+    };
+    m.order.resize(n);
+    std::iota(m.order.begin(), m.order.end(), 0u);
+    std::stable_sort(m.order.begin(), m.order.end(),
+                     [&](uint32_t a, uint32_t b) { return key(a) < key(b); });
+    if (sorted_key != nullptr) {
+      for (uint32_t i : m.order) {
+        sorted_key->append(key(i));
+        sorted_key->push_back('&');
+      }
+    }
+    return m;
   }
 
  private:
@@ -215,32 +146,19 @@ class KeyRenderer {
     }
   }
 
-  void Append(const NotBlock& b) {
-    out_->push_back('N');
-    out_->push_back('(');
-    for (const Primitive& p : b.prims) {
-      Append(p);
-      out_->push_back('&');
-    }
-    for (const NotBlock& i : b.inner) {
-      Append(i);
-      out_->push_back('&');
-    }
-    out_->push_back(')');
-  }
-
   void Append(const Term& t) {
-    if (t.is_var()) {
-      out_->push_back('v');
-      VarId v = t.var();
-      auto it = var_map_.find(v);
-      if (it == var_map_.end()) {
-        it = var_map_.emplace(v, static_cast<VarId>(var_map_.size())).first;
-      }
-      AppendInt(static_cast<uint64_t>(it->second));
+    if (t.is_const()) {
+      Append(t.constant());
       return;
     }
-    Append(t.constant());
+    out_->push_back('v');
+    if (blind_) return;
+    VarId v = t.var();
+    auto it = var_map_.find(v);
+    if (it == var_map_.end()) {
+      it = var_map_.emplace(v, static_cast<VarId>(var_map_.size())).first;
+    }
+    AppendInt(static_cast<uint64_t>(it->second));
   }
 
   void Append(const Value& v) {
@@ -296,6 +214,7 @@ class KeyRenderer {
   }
 
   std::string* out_;
+  const bool blind_;
   std::unordered_map<VarId, VarId> var_map_;
 };
 
@@ -310,7 +229,7 @@ uint64_t Mix64(uint64_t x) {
   return x;
 }
 
-// Two STRUCTURALLY different passes over the rendering. The previous
+// Two STRUCTURALLY different passes over the encoding. The previous
 // scheme ran two FNV-1a streams that differed only in seed; FNV-1a's
 // multiply is odd, so bit 0 of its state is seed-parity XOR the parity of
 // the input bytes' low bits — identical in both streams for every input,
@@ -320,19 +239,32 @@ uint64_t Mix64(uint64_t x) {
 // constants) and each is finalized through a full-avalanche mix with a
 // length tweak, so no output bit of one half is a function of the same
 // input bits as any bit of the other.
-CanonicalKey FingerprintOf(const std::string& rendering) {
+CanonicalKey FingerprintOf(const std::string& encoding) {
   uint64_t lo = 14695981039346656037ULL;  // FNV-1a offset basis / prime
   uint64_t hi = 0x9ae16a3b2f90404fULL;
-  for (unsigned char ch : rendering) {
+  for (unsigned char ch : encoding) {
     lo = (lo ^ ch) * 1099511628211ULL;
     hi = (hi + ch) * 0x9e3779b97f4a7c15ULL;
     hi = (hi << 29) | (hi >> 35);
   }
-  uint64_t len = rendering.size();
+  uint64_t len = encoding.size();
   CanonicalKey key;
   key.lo = Mix64(lo ^ (len * 0xa0761d6478bd642fULL));
   key.hi = Mix64(hi ^ len ^ 0x8ebc6af09c88c6e3ULL);
   return key;
+}
+
+// Sorted-mode encoding of pred(args) <- c into *out, simplifying first
+// unless the caller already did.
+void EncodeAtom(Symbol pred, const TermVec& args, const Constraint& c,
+                bool assume_simplified, std::string* out) {
+  Encoder encoder(out, /*blind=*/false);
+  if (assume_simplified) {
+    encoder.Atom(pred, args, c);
+    return;
+  }
+  SimplifiedAtom s = SimplifyAtom(args, c);
+  encoder.Atom(pred, s.head, s.constraint);
 }
 
 }  // namespace
@@ -341,7 +273,7 @@ CanonicalKey CanonicalAtomKey(Symbol pred, const TermVec& args,
                               const Constraint& c, bool assume_simplified,
                               std::string* scratch) {
   scratch->clear();
-  RenderCanonicalAtom(pred, args, c, assume_simplified, scratch);
+  EncodeAtom(pred, args, c, assume_simplified, scratch);
   return FingerprintOf(*scratch);
 }
 
@@ -352,15 +284,14 @@ CanonicalKey CanonicalConstraintKey(const Constraint& c,
     *scratch += "false";
     return FingerprintOf(*scratch);
   }
-  KeyRenderer renderer(scratch);
-  renderer.Append(c);
+  Encoder(scratch, /*blind=*/false).InOrder(c.prims(), c.nots());
   return FingerprintOf(*scratch);
 }
 
 std::string CanonicalAtomString(Symbol pred, const TermVec& args,
                                 const Constraint& c) {
   std::string out;
-  RenderCanonicalAtom(pred, args, c, /*assume_simplified=*/false, &out);
+  EncodeAtom(pred, args, c, /*assume_simplified=*/false, &out);
   return out;
 }
 

@@ -1,18 +1,26 @@
 // Canonical forms of constrained atoms and constraints.
 //
-// Two constrained atoms with the same canonical form are syntactic
-// variants (same literals modulo variable renaming and literal order).
-// The mapping is conservative: semantically equivalent atoms may canonicalize
-// differently (the paper notes p(X,Y) <- X = Y+1 vs p(X,Y) <- Y = X-1), in
-// which case they are simply retained as duplicates — still sound.
-//
-// Two consumers with different cost profiles share the machinery:
-//   - set-semantics deduplication in the fixpoint engine keys atoms by a
-//     hashed CanonicalKey (no per-atom string is retained), and
-//   - the solver memo (constraint/solve_cache.h) keys bare constraints by
-//     a cheaper in-order rendering that skips literal sorting: constraints
-//     produced by the same clause at different fresh-variable offsets
-//     already agree literal-for-literal, which is the sharing that matters.
+// One encoder writes every term, constant and literal exactly: ints in
+// decimal, doubles as their raw bits, strings length-prefixed, each token
+// self-delimiting. Nothing goes through Value's text form, so two
+// encodings are equal only for structurally equal inputs (2 and 2.0, 0.0
+// and -0.0, doubles that print alike all stay apart). Variables are
+// renamed by first appearance. The encoder has two modes:
+//   - in-order mode keys the solver memo (constraint/solve_cache.h) by a
+//     bare constraint's literals as they appear. It skips sorting and
+//     simplification: constraints produced by the same clause at
+//     different fresh-variable offsets already agree literal-for-literal,
+//     which is the sharing that matters.
+//   - sorted mode is the atom identity: the head, then the literals and
+//     not-blocks ordered by their variable-blind encodings (each computed
+//     once), nested blocks likewise. Two atoms with the same encoding are
+//     syntactic variants (same literals modulo variable renaming and
+//     literal order). It keys set-semantics dedup in the fixpoint engine,
+//     PlanBatch's burst coalescing and DRed's P_OUT set.
+// Only the 128-bit hash of an encoding (CanonicalKey) is kept. The mapping
+// is conservative: semantically equivalent atoms may encode differently
+// (the paper notes p(X,Y) <- X = Y+1 vs p(X,Y) <- Y = X-1), in which case
+// they are simply retained as duplicates — still sound.
 
 #ifndef MMV_CONSTRAINT_CANONICAL_H_
 #define MMV_CONSTRAINT_CANONICAL_H_
@@ -26,12 +34,13 @@
 
 namespace mmv {
 
-/// \brief A 128-bit hash of a canonical rendering. Collisions are
+/// \brief A 128-bit hash of a canonical encoding. Collisions are
 /// astronomically unlikely — the halves come from two STRUCTURALLY
 /// different byte passes (xor-multiply vs add-multiply-rotate) finalized
 /// through full-avalanche mixes, so their bits are independent (the naive
 /// two-seeds-one-algorithm alternative leaks correlated low-order bits) —
-/// which is the contract its users (dedup sets, solver memo) rely on.
+/// which is the contract its users (dedup sets, burst coalescing, DRed's
+/// P_OUT set, solver memo) rely on.
 struct CanonicalKey {
   uint64_t lo = 0;
   uint64_t hi = 0;
@@ -50,12 +59,12 @@ struct CanonicalKey {
   };
 };
 
-/// \brief Canonical key of the constrained atom pred(args) <- c.
+/// \brief Canonical key of the constrained atom pred(args) <- c: the hash
+/// of its sorted-mode encoding (simplify, sort literals by their
+/// variable-blind encodings, rename variables by first appearance).
 ///
-/// Same canonical form as CanonicalAtomString — simplify, sort literals by a
-/// variable-insensitive key, rename variables by first appearance — but the
-/// rendering goes into the caller's reusable \p scratch buffer and only the
-/// 128-bit hash survives, so a dedup set holds no strings.
+/// The encoding goes into the caller's reusable \p scratch buffer and only
+/// the 128-bit hash survives, so a dedup set holds no strings.
 ///
 /// \p assume_simplified skips the internal SimplifyAtom pass; callers may
 /// set it when (args, c) already went through SimplifyAtom (the pass is
@@ -64,17 +73,15 @@ CanonicalKey CanonicalAtomKey(Symbol pred, const TermVec& args,
                               const Constraint& c, bool assume_simplified,
                               std::string* scratch);
 
-/// \brief Canonical key of a bare constraint for the solver memo: literals
-/// rendered in order (no sorting, no simplification) with variables renamed
-/// by first appearance. Constraints that differ only in fresh-variable
-/// numbering — the shape repeated join steps of one clause produce — map to
-/// the same key; literal-order variants do not (they simply miss the memo).
+/// \brief Canonical key of a bare constraint for the solver memo: the hash
+/// of its in-order encoding (no sorting, no simplification). Constraints
+/// that differ only in fresh-variable numbering — the shape repeated join
+/// steps of one clause produce — map to the same key; literal-order
+/// variants do not (they simply miss the memo).
 CanonicalKey CanonicalConstraintKey(const Constraint& c, std::string* scratch);
 
-/// \brief Canonical string of the constrained atom pred(args) <- c.
-///
-/// Simplifies the constraint, orders literals by a variable-insensitive key,
-/// then renames variables by first appearance.
+/// \brief The sorted-mode bytes CanonicalAtomKey hashes, with
+/// assume_simplified = false. For readable test diffs.
 std::string CanonicalAtomString(Symbol pred, const TermVec& args,
                                 const Constraint& c);
 

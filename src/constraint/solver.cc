@@ -681,9 +681,7 @@ SolveOutcome Solver::SolveConjunctionWithSplits(std::vector<Primitive>* prims,
   stats_.choice_branches++;
   ConjunctionState state(this);
   SolveOutcome o = state.Run(*prims);
-  if (o != SolveOutcome::kSatDeferred || !options_.split_candidates) {
-    return o;
-  }
+  if (o != SolveOutcome::kSatDeferred) return o;
   VarId var;
   Candidates candidates;
   if (!state.SuggestSplit(&var, &candidates)) return o;

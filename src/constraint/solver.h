@@ -187,10 +187,6 @@ struct SolverOptions {
   int64_t max_choice_branches = 100000;
   /// When false, DCA-atoms are never evaluated (pure W_P syntactic mode).
   bool evaluate_dca = true;
-  /// Case-split on finite DCA candidate sets to decide deferred literals
-  /// (complete search; the honest cost of T_P solvability checks over
-  /// chained domain calls).
-  bool split_candidates = true;
   /// Optional memo of outcomes keyed by canonical constraint form
   /// (constraint/solve_cache.h). Not owned. The caller guarantees the
   /// evaluator state and solver options stay fixed for the cache lifetime;

@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/strings.h"
 #include "constraint/canonical.h"
 #include "constraint/simplify.h"
 #include "core/thread_pool.h"
@@ -1113,16 +1114,8 @@ Result<JoinMode> ParseJoinMode(std::string_view text) {
 }
 
 Result<int> ParseThreads(std::string_view text) {
-  int value = 0;
-  bool valid = !text.empty() && text.size() <= 4;
-  for (char ch : text) {
-    if (ch < '0' || ch > '9') {
-      valid = false;
-      break;
-    }
-    value = value * 10 + (ch - '0');
-  }
-  if (!valid || value < 1 || value > 4096) {
+  Result<int> value = ParseDecimal<int>(text, "thread count");
+  if (!value.ok() || *value < 1 || *value > 4096) {
     return Status::InvalidArgument("unknown thread count '" +
                                    std::string(text) +
                                    "' (expected an integer in [1, 4096])");

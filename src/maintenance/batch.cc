@@ -103,13 +103,15 @@ BatchPlan PlanBatch(const Program& program,
   std::vector<size_t> kept;  // indices into `updates` / `emitted`
   kept.reserve(updates.size());
   // Latest surviving op per canonical atom key.
-  std::unordered_map<std::string, size_t> last_by_key;
+  std::unordered_map<CanonicalKey, size_t, CanonicalKey::Hasher> last_by_key;
+  std::string scratch;
   size_t inserts_any = 0, deletes_any = 0;
 
   for (size_t i = 0; i < updates.size(); ++i) {
     const Update& u = updates[i];
-    std::string key = CanonicalAtomString(u.atom.pred, u.atom.args,
-                                          u.atom.constraint);
+    CanonicalKey key = CanonicalAtomKey(u.atom.pred, u.atom.args,
+                                        u.atom.constraint,
+                                        /*assume_simplified=*/false, &scratch);
     auto it = last_by_key.find(key);
     size_t prev = it == last_by_key.end() ? i : it->second;
     bool has_prev = it != last_by_key.end() && !emitted[prev].dead;
@@ -156,7 +158,7 @@ BatchPlan PlanBatch(const Program& program,
     emitted[i].inserts_any = inserts_any;
     emitted[i].deletes_any = deletes_any;
     kept.push_back(i);
-    last_by_key[std::move(key)] = i;
+    last_by_key[key] = i;
   }
 
   plan.ops.reserve(kept.size());

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <functional>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -52,10 +53,12 @@ Result<View> DeleteDRed(const Program& program, const View& view,
   // ---- Step 1: unfold P_OUT ------------------------------------------
   Clock::time_point t0 = Clock::now();
   std::vector<PoutAtom> pout;
-  std::unordered_set<std::string> pout_seen;
+  std::unordered_set<CanonicalKey, CanonicalKey::Hasher> pout_seen;
+  std::string scratch;
   auto add_pout = [&](PoutAtom a) {
-    std::string key = CanonicalAtomString(a.pred, a.args, a.constraint);
-    if (!pout_seen.insert(std::move(key)).second) return false;
+    CanonicalKey key = CanonicalAtomKey(a.pred, a.args, a.constraint,
+                                        /*assume_simplified=*/false, &scratch);
+    if (!pout_seen.insert(key).second) return false;
     pout.push_back(std::move(a));
     return true;
   };

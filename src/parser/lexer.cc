@@ -124,6 +124,23 @@ Result<std::vector<Token>> Lex(std::string_view src) {
         }
         ++i;
       }
+      // Exponent: [eE][+-]?digits, only when digits follow.
+      if (i < src.size() && (src[i] == 'e' || src[i] == 'E')) {
+        size_t digits = i + 1;
+        if (digits < src.size() &&
+            (src[digits] == '+' || src[digits] == '-')) {
+          ++digits;
+        }
+        if (digits < src.size() &&
+            std::isdigit(static_cast<unsigned char>(src[digits]))) {
+          i = digits;
+          while (i < src.size() &&
+                 std::isdigit(static_cast<unsigned char>(src[i]))) {
+            ++i;
+          }
+          is_float = true;
+        }
+      }
       std::string_view text = src.substr(start, i - start);
       Token t = make(is_float ? TokKind::kFloat : TokKind::kInt);
       t.text = std::string(text);

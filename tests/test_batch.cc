@@ -145,6 +145,31 @@ TEST(PlanBatchTest, BodyParticipantBlocksDeleteReinsertDrop) {
 // bursts end with a deletion that observes whether the re-asserted derived
 // atom gained an independent external support.
 
+TEST(PlanBatchTest, DoublesThatPrintAlikeAreDistinctKeys) {
+  // 1000000.25 and 1000000.75 print alike at 6 significant digits; a
+  // coalescing key built from that text would fold the second insert into
+  // the first and leave one r instance of two.
+  TestWorld w = TestWorld::Make();
+  Program p = ParseOrDie("q(X) <- X = 0.");
+  std::vector<maint::Update> burst = {Ins("r(X) <- X = 1000000.25.", &p),
+                                      Ins("r(X) <- X = 1000000.75.", &p)};
+  maint::BatchPlan plan = maint::PlanBatch(p, burst);
+  EXPECT_EQ(plan.ops.size(), 2u);
+  EXPECT_EQ(plan.coalesced_away, 0u);
+
+  View batch_view = MaterializeOrDie(p, w.domains.get());
+  View seq_view = batch_view;
+  ASSERT_TRUE(maint::ApplyBatch(p, &batch_view, burst, w.domains.get()).ok());
+  ASSERT_TRUE(maint::ApplyUpdatesSequential(p, &seq_view, burst,
+                                            w.domains.get())
+                  .ok());
+  EXPECT_EQ(batch_view.AtomsFor("r").size(), 2u);
+  EXPECT_EQ(Instances(batch_view, w.domains.get()),
+            Instances(seq_view, w.domains.get()));
+  EXPECT_EQ(testutil::InstancesOf(batch_view, "r", w.domains.get()),
+            (std::set<std::string>{"r(1000000.25)", "r(1000000.75)"}));
+}
+
 TEST(BatchTest, ReinsertOfDerivedAtomSurvivesAncestorDeletion) {
   TestWorld w = TestWorld::Make();
   Program p = ParseOrDie("r(X) <- X = 1. k(X) <- r(X).");

@@ -1,12 +1,17 @@
-// Unit tests for canonical atom strings.
+// Unit tests for the canonical encoder: atom keys, constraint keys and
+// their exactness.
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "constraint/canonical.h"
+#include "constraint/dca_call_key.h"
 
 namespace mmv {
 namespace {
@@ -61,9 +66,17 @@ TEST(CanonicalTest, SimplificationApplied) {
 }
 
 TEST(CanonicalTest, FalseConstraint) {
+  // Every false atom of one predicate encodes alike, whatever its head.
   Constraint c;
   c.Add(Primitive::Eq(C(1), C(2)));
-  EXPECT_EQ(CanonicalAtomString("p", {V(0)}, c), "p/false");
+  Constraint d;
+  d.AddNot(NotBlock{});
+  EXPECT_EQ(CanonicalAtomString("p", {V(0)}, c),
+            CanonicalAtomString("p", {V(3), C(4)}, d));
+  EXPECT_NE(CanonicalAtomString("p", {V(0)}, c),
+            CanonicalAtomString("q", {V(0)}, c));
+  EXPECT_NE(CanonicalAtomString("p", {V(0)}, c),
+            CanonicalAtomString("p", {V(0)}, Constraint()));
 }
 
 TEST(CanonicalTest, HeadVariableIdentityMatters) {
@@ -87,6 +100,239 @@ TEST(CanonicalTest, NotBlockOrderInvariance) {
   b.AddNot(b1);
   EXPECT_EQ(CanonicalAtomString("p", {V(0)}, a),
             CanonicalAtomString("p", {V(0)}, b));
+}
+
+TEST(CanonicalTest, NestedBlockOrderInvariance) {
+  // not(X = 1 & not(X = 2) & not(X = 3)) with its members in either order.
+  auto block = [](bool reversed) {
+    NotBlock b;
+    NotBlock two, three;
+    two.prims.push_back(Primitive::Eq(V(0), C(2)));
+    three.prims.push_back(Primitive::Eq(V(0), C(3)));
+    b.prims.push_back(Primitive::Eq(V(0), C(1)));
+    b.inner = reversed ? std::vector<NotBlock>{three, two}
+                       : std::vector<NotBlock>{two, three};
+    Constraint c;
+    c.Add(Primitive::Neq(V(0), C(9)));
+    c.AddNot(b);
+    return c;
+  };
+  EXPECT_EQ(CanonicalAtomString("p", {V(0)}, block(false)),
+            CanonicalAtomString("p", {V(0)}, block(true)));
+}
+
+// ---- exact constants -----------------------------------------------------
+
+// Constants that any text rendering risks merging: ints and doubles of one
+// number, signed zeros, doubles alike at 6 significant digits, subnormals,
+// the int64 bounds, strings made of the encoding's own separators and
+// digits, and nested lists.
+std::vector<Value> TrickyValues() {
+  return {
+      Value(),
+      Value(true),
+      Value(false),
+      Value(int64_t{2}),
+      Value(2.0),
+      Value(int64_t{0}),
+      Value(0.0),
+      Value(-0.0),
+      Value(1000000.25),
+      Value(1000000.75),
+      Value(1000000.0),
+      Value(int64_t{1000000}),
+      Value(0.1234567),
+      Value(0.123457),
+      Value(5e-324),
+      Value(-5e-324),
+      Value(2.2250738585072009e-308),
+      Value(std::numeric_limits<double>::max()),
+      Value(std::numeric_limits<int64_t>::min()),
+      Value(std::numeric_limits<int64_t>::max()),
+      Value(static_cast<double>(std::numeric_limits<int64_t>::max())),
+      Value(int64_t{-1}),
+      Value(""),
+      Value("2"),
+      Value("2.0"),
+      Value("i2;"),
+      Value("1:a"),
+      Value("\"'|;&:"),
+      Value("s1:a"),
+      Value("]"),
+      Value(ValueList{}),
+      Value(ValueList{Value()}),
+      Value(ValueList{Value(int64_t{1}), Value("a")}),
+      Value(ValueList{Value(1.0), Value("a")}),
+      Value(ValueList{Value(ValueList{Value(int64_t{1})}), Value("a")}),
+      Value(ValueList{Value(ValueList{Value(int64_t{1}), Value("a")})}),
+      Value(ValueList{Value("1:a")}),
+      Value(ValueList{Value("1"), Value(":a")}),
+  };
+}
+
+// A random value: a tricky constant, a fresh random scalar, or a list of
+// random values.
+Value RandomValue(Rng* rng, const std::vector<Value>& tricky, int depth) {
+  switch (rng->Int(0, depth > 1 ? 4 : 5)) {
+    case 0:
+      return Value(rng->Int(-3, 3));
+    case 1:
+      return Value(static_cast<double>(rng->Int(-3, 3)) / 2);
+    case 2:
+      return Value(rng->Ident(static_cast<int>(rng->Int(0, 2))));
+    case 3:
+    case 4:
+      return rng->Pick(tricky);
+    default: {
+      ValueList l;
+      for (int64_t i = rng->Int(0, 3); i > 0; --i) {
+        l.push_back(RandomValue(rng, tricky, depth + 1));
+      }
+      return Value(std::move(l));
+    }
+  }
+}
+
+TEST(CanonicalKeyTest, ConstantsAreEqualExactlyWhenCallKeysAre) {
+  std::vector<Value> pool = TrickyValues();
+  Rng rng(20261018);
+  for (int i = 0; i < 200; ++i) pool.push_back(RandomValue(&rng, pool, 0));
+  std::string scratch;
+  std::vector<CanonicalKey> keys;
+  std::vector<std::string> encodings;
+  for (const Value& v : pool) {
+    keys.push_back(CanonicalAtomKey("p", {Term::Const(v)}, Constraint(),
+                                    /*assume_simplified=*/true, &scratch));
+    encodings.push_back(CanonicalAtomString("p", {Term::Const(v)},
+                                            Constraint()));
+  }
+  for (size_t a = 0; a < pool.size(); ++a) {
+    for (size_t b = 0; b < pool.size(); ++b) {
+      bool same_call = DcaCallKey{"d", "f", {pool[a]}} ==
+                       DcaCallKey{"d", "f", {pool[b]}};
+      EXPECT_EQ(keys[a] == keys[b], same_call)
+          << pool[a].ToString() << " vs " << pool[b].ToString();
+      EXPECT_EQ(encodings[a] == encodings[b], same_call)
+          << pool[a].ToString() << " vs " << pool[b].ToString();
+    }
+  }
+}
+
+// ---- renaming invariance -------------------------------------------------
+
+Term RandomTerm(Rng* rng, const std::vector<Value>& tricky, VarId vars) {
+  if (rng->Chance(0.5)) {
+    return V(static_cast<VarId>(rng->Int(0, static_cast<int64_t>(vars) - 1)));
+  }
+  return Term::Const(RandomValue(rng, tricky, 1));
+}
+
+Primitive RandomPrimitive(Rng* rng, const std::vector<Value>& tricky,
+                          VarId vars) {
+  Term x = V(static_cast<VarId>(rng->Int(0, static_cast<int64_t>(vars) - 1)));
+  switch (rng->Int(0, 4)) {
+    case 0:
+      return Primitive::Eq(x, RandomTerm(rng, tricky, vars));
+    case 1:
+      return Primitive::Neq(x, RandomTerm(rng, tricky, vars));
+    case 2:
+      return Primitive::Cmp(x, static_cast<CmpOp>(rng->Int(0, 3)),
+                            RandomTerm(rng, tricky, vars));
+    default: {
+      DomainCall call{rng->Pick(std::vector<std::string>{"arith", "text"}),
+                      rng->Pick(std::vector<std::string>{"between", "f"}),
+                      {}};
+      for (int64_t i = rng->Int(0, 2); i > 0; --i) {
+        call.args.push_back(RandomTerm(rng, tricky, vars));
+      }
+      return rng->Chance(0.5) ? Primitive::In(x, call)
+                              : Primitive::NotInCall(x, call);
+    }
+  }
+}
+
+NotBlock RandomBlock(Rng* rng, const std::vector<Value>& tricky, VarId vars,
+                     int depth) {
+  NotBlock b;
+  for (int64_t i = rng->Int(1, 3); i > 0; --i) {
+    b.prims.push_back(RandomPrimitive(rng, tricky, vars));
+  }
+  if (depth < 2) {
+    for (int64_t i = rng->Int(0, 2); i > 0; --i) {
+      b.inner.push_back(RandomBlock(rng, tricky, vars, depth + 1));
+    }
+  }
+  return b;
+}
+
+Term RenameTerm(Term t, const std::vector<VarId>& to) {
+  return t.is_var() ? V(to[t.var()]) : t;
+}
+
+Primitive RenamePrimitive(Primitive p, const std::vector<VarId>& to) {
+  p.lhs = RenameTerm(p.lhs, to);
+  if (p.kind == PrimKind::kEq || p.kind == PrimKind::kNeq ||
+      p.kind == PrimKind::kCmp) {
+    p.rhs = RenameTerm(p.rhs, to);
+  }
+  for (Term& t : p.call.args) t = RenameTerm(t, to);
+  return p;
+}
+
+NotBlock RenameBlock(const NotBlock& b, const std::vector<VarId>& to) {
+  NotBlock out;
+  for (const Primitive& p : b.prims) {
+    out.prims.push_back(RenamePrimitive(p, to));
+  }
+  for (const NotBlock& i : b.inner) out.inner.push_back(RenameBlock(i, to));
+  return out;
+}
+
+TEST(CanonicalKeyTest, RenamedCopiesKeepTheirKeys) {
+  std::vector<Value> tricky = TrickyValues();
+  Rng rng(7);
+  std::string scratch;
+  for (int trial = 0; trial < 300; ++trial) {
+    const VarId vars = static_cast<VarId>(rng.Int(1, 5));
+    Constraint c;
+    for (int64_t i = rng.Int(0, 5); i > 0; --i) {
+      c.Add(RandomPrimitive(&rng, tricky, vars));
+    }
+    for (int64_t i = rng.Int(0, 2); i > 0; --i) {
+      c.AddNot(RandomBlock(&rng, tricky, vars, 0));
+    }
+    TermVec head;
+    for (int64_t i = rng.Int(0, 3); i > 0; --i) {
+      head.push_back(RandomTerm(&rng, tricky, vars));
+    }
+    // An injective renaming: a shuffled permutation moved to high ids.
+    std::vector<VarId> to(vars);
+    for (VarId v = 0; v < vars; ++v) to[v] = 1000 + v;
+    for (size_t i = to.size(); i > 1; --i) {
+      std::swap(to[i - 1], to[static_cast<size_t>(rng.Int(
+                               0, static_cast<int64_t>(i) - 1))]);
+    }
+    Constraint renamed;
+    for (const Primitive& p : c.prims()) {
+      renamed.Add(RenamePrimitive(p, to));
+    }
+    for (const NotBlock& b : c.nots()) renamed.AddNot(RenameBlock(b, to));
+    TermVec renamed_head;
+    for (const Term& t : head) renamed_head.push_back(RenameTerm(t, to));
+
+    std::string text = c.ToString();
+    EXPECT_EQ(CanonicalConstraintKey(c, &scratch),
+              CanonicalConstraintKey(renamed, &scratch))
+        << text;
+    EXPECT_EQ(CanonicalAtomKey("p", head, c, /*assume_simplified=*/true,
+                               &scratch),
+              CanonicalAtomKey("p", renamed_head, renamed,
+                               /*assume_simplified=*/true, &scratch))
+        << text;
+    EXPECT_EQ(CanonicalAtomString("p", head, c),
+              CanonicalAtomString("p", renamed_head, renamed))
+        << text;
+  }
 }
 
 // ---- 128-bit hash quality ------------------------------------------------

@@ -59,6 +59,14 @@ TEST(Crc32cTest, ExtendComposes) {
   EXPECT_EQ(whole, split);
 }
 
+TEST(Crc32cTest, ProgramFingerprintSeesExactDoubles) {
+  // Recovery checks a checkpoint against Crc32c(program.ToString()); at 6
+  // significant digits both programs would print "X = 1e+06".
+  Program a = ParseOrDie("p(X) <- X = 1000000.25.");
+  Program b = ParseOrDie("p(X) <- X = 1000000.75.");
+  EXPECT_NE(Crc32c(a.ToString()), Crc32c(b.ToString()));
+}
+
 TEST(Crc32cTest, DetectsSingleBitFlips) {
   std::string data = "the quick brown fox";
   uint32_t clean = Crc32c(data);

@@ -105,6 +105,21 @@ TEST(FixpointTest, DuplicateSemanticsKeepsOneAtomPerDerivation) {
   EXPECT_EQ(vs.AtomsFor("b").size(), 1u);
 }
 
+TEST(FixpointTest, SetSemanticsKeepsDoublesThatPrintAlike) {
+  // Both constants print as 1e+06 at 6 significant digits; the dedup key
+  // encodes them exactly.
+  TestWorld w = TestWorld::Make();
+  Program p = ParseOrDie(R"(
+    p(X) <- X = 1000000.25.
+    p(X) <- X = 1000000.75.
+  )");
+  FixpointOptions set_opts;
+  set_opts.semantics = DupSemantics::kSet;
+  View v = Unwrap(Materialize(p, w.domains.get(), set_opts));
+  EXPECT_EQ(v.AtomsFor("p").size(), 2u);
+  EXPECT_EQ(InstancesOf(v, "p", w.domains.get()).size(), 2u);
+}
+
 TEST(FixpointTest, SupportsRecordDerivations) {
   TestWorld w = TestWorld::Make();
   Program p = ParseOrDie("a(X) <- X = 1. b(X) <- a(X). c(X) <- b(X).");

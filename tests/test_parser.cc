@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <string>
 
@@ -42,6 +43,39 @@ TEST(LexerTest, NegativeNumbersAndDots) {
   EXPECT_DOUBLE_EQ(toks[1].float_val, -2.5);
   EXPECT_EQ(toks[2].kind, parser::TokKind::kInt);  // "3" then "."
   EXPECT_EQ(toks[3].kind, parser::TokKind::kDot);
+}
+
+TEST(LexerTest, FloatExponents) {
+  auto toks = Unwrap(parser::Lex("1e+06 -2.5E-3 7e2 3e x 4E."));
+  using K = parser::TokKind;
+  ASSERT_EQ(toks[0].kind, K::kFloat);
+  EXPECT_EQ(toks[0].float_val, 1e6);
+  ASSERT_EQ(toks[1].kind, K::kFloat);
+  EXPECT_EQ(toks[1].float_val, -2.5e-3);
+  ASSERT_EQ(toks[2].kind, K::kFloat);  // an exponent alone makes a double
+  EXPECT_EQ(toks[2].float_val, 700.0);
+  // No digits after the 'e': the number ends before it.
+  EXPECT_EQ(toks[3].kind, K::kInt);
+  EXPECT_EQ(toks[4].kind, K::kIdent);
+  EXPECT_EQ(toks[5].kind, K::kIdent);
+  EXPECT_EQ(toks[6].kind, K::kInt);
+  EXPECT_EQ(toks[7].kind, K::kVar);
+  EXPECT_EQ(toks[8].kind, K::kDot);
+  EXPECT_FALSE(parser::Lex("1e99999").ok());  // out of range: a ParseError
+}
+
+TEST(LexerTest, PrintedDoublesLexBackExactly) {
+  for (double d : {0.1, -0.0, 2.0, 1000000.25, 0.1234567, 1e6, 1e22, 5e-324,
+                   2.2250738585072014e-308,
+                   std::numeric_limits<double>::max(),
+                   -std::numeric_limits<double>::min()}) {
+    std::string text = Value(d).ToString();
+    auto toks = Unwrap(parser::Lex(text));
+    ASSERT_EQ(toks[0].kind, parser::TokKind::kFloat) << text;
+    EXPECT_EQ(std::signbit(toks[0].float_val), std::signbit(d)) << text;
+    EXPECT_EQ(toks[0].float_val, d) << text;
+    EXPECT_EQ(toks[1].kind, parser::TokKind::kEof) << text;
+  }
 }
 
 TEST(LexerTest, Errors) {

@@ -606,7 +606,8 @@ TEST(ParallelStrataTest, ParseThreadsFailsLoudly) {
   EXPECT_EQ(*ParseThreads("1"), 1);
   EXPECT_EQ(*ParseThreads("8"), 8);
   EXPECT_EQ(*ParseThreads("4096"), 4096);
-  for (const char* bad : {"", "0", "-1", "two", "8x", "99999", "1.5"}) {
+  for (const char* bad : {"", "0", "-1", "two", "8x", "99999", "1.5", "+8",
+                          "99999999999999999999"}) {
     Result<int> r = ParseThreads(bad);
     EXPECT_FALSE(r.ok()) << bad;
     EXPECT_NE(r.status().message().find("unknown thread count"),

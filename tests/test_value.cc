@@ -76,6 +76,17 @@ TEST(ValueTest, ToString) {
   EXPECT_EQ(Value(2.0).ToString(), "2.0");  // doubles keep a decimal marker
 }
 
+TEST(ValueTest, DoublesPrintTheShortestExactText) {
+  EXPECT_EQ(Value(-0.0).ToString(), "-0.0");
+  EXPECT_EQ(Value(0.1).ToString(), "0.1");
+  EXPECT_EQ(Value(1000000.25).ToString(), "1000000.25");
+  EXPECT_EQ(Value(1000000.75).ToString(), "1000000.75");
+  EXPECT_EQ(Value(0.1234567).ToString(), "0.1234567");
+  EXPECT_EQ(Value(1e6).ToString(), "1e+06");  // the exponent marks a double
+  EXPECT_EQ(Value(1e22).ToString(), "1e+22");
+  EXPECT_EQ(Value(5e-324).ToString(), "5e-324");
+}
+
 TEST(ValueTest, NestedLists) {
   Value nested(ValueList{Value(ValueList{Value(1)}), Value(2)});
   EXPECT_EQ(nested.as_list()[0].as_list()[0], Value(1));

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "constraint/canonical.h"
 #include "maintenance/stdel.h"
 #include "parser/view_io.h"
@@ -81,6 +85,27 @@ TEST(ViewIoTest, RoundTripAfterDeletionWithNotBlocks) {
   View loaded = Unwrap(parser::DeserializeView(text, &p));
   EXPECT_EQ(Instances(loaded, w.domains.get()),
             Instances(view, w.domains.get()));
+}
+
+TEST(ViewIoTest, DoublesRoundTripExactly) {
+  // At 6 significant digits 1000000.25 would print as "1e+06" and
+  // 0.1234567 as 0.123457.
+  TestWorld w = TestWorld::Make();
+  Program p = ParseOrDie(R"(
+    p(X) <- X = 1000000.25.
+    p(X) <- X = 0.1234567.
+    p(X) <- X = -0.0.
+    p(X) <- X = 2.0.
+  )");
+  View view = MaterializeOrDie(p, w.domains.get());
+  std::string text = parser::SerializeView(view);
+  View loaded = Unwrap(parser::DeserializeView(text, &p));
+  EXPECT_EQ(testutil::CanonicalState(loaded), testutil::CanonicalState(view));
+  EXPECT_EQ(Instances(loaded, w.domains.get()),
+            Instances(view, w.domains.get()));
+  EXPECT_EQ(Instances(loaded, w.domains.get()),
+            (std::set<std::string>{"p(1000000.25)", "p(0.1234567)",
+                                   "p(-0.0)", "p(2.0)"}));
 }
 
 TEST(ViewIoTest, LoadedViewIsMaintainable) {
@@ -217,6 +242,27 @@ TEST(BurstIoTest, SerializeParseRoundTrip) {
                                   reparsed[i].atom.args,
                                   reparsed[i].atom.constraint));
   }
+}
+
+TEST(BurstIoTest, DoublesRoundTripExactly) {
+  // A WAL payload printed at 6 significant digits would read
+  // "X1 = 1e+06" for both atoms.
+  Program p;
+  auto original = Unwrap(parser::ParseBurst(
+      "ins r(X) <- X = 1000000.25.\nins r(X) <- X = 1000000.75.\n", &p));
+  std::string text = parser::SerializeBurst(original, p.names());
+  auto reparsed = Unwrap(parser::ParseBurst(text, &p));
+  ASSERT_EQ(reparsed.size(), 2u);
+  std::vector<std::string> keys;
+  for (size_t i = 0; i < 2; ++i) {
+    keys.push_back(CanonicalAtomString(reparsed[i].atom.pred,
+                                       reparsed[i].atom.args,
+                                       reparsed[i].atom.constraint));
+    EXPECT_EQ(keys.back(), CanonicalAtomString(original[i].atom.pred,
+                                               original[i].atom.args,
+                                               original[i].atom.constraint));
+  }
+  EXPECT_NE(keys[0], keys[1]);
 }
 
 }  // namespace
