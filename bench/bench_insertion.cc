@@ -2,7 +2,7 @@
 // join-pipeline comparison (E10): the same seminaive insertion continuation
 // under the naive nested-loop join (the oracle) and the constraint-aware
 // indexed join (arg-value probes, incremental unification, rename-free
-// fully-ground derivations, solver memo).
+// fully-ground derivations).
 //
 // Expected shape: InsertAtom's cost tracks the size of the *delta* (the
 // inserted atom plus its unfolded consequences), while recompute tracks the
@@ -159,8 +159,8 @@ void BM_Continuation_Chain(benchmark::State& state) {
 // The same continuation over a chain, but the K inserted facts are
 // NON-GROUND interval atoms (lo <= X <= hi plus the integral DCA-atom):
 // every level of the chain re-derives the same symbolic constraint, so the
-// solver runs once per external under the canonical-form memo instead of
-// once per (external, level). {depth, width, K, mode}.
+// case measures a non-ground continuation with one Solve per (external,
+// level). {depth, width, K, mode}.
 void BM_Continuation_IntervalChain(benchmark::State& state) {
   World w = World::Make();
   int depth = static_cast<int>(state.range(0));

@@ -149,8 +149,16 @@ std::ostream& operator<<(std::ostream& os, const Value& v) {
       if (text.find_first_of(".e") == std::string_view::npos) os << ".0";
       return os;
     }
-    case ValueKind::kString:
-      return os << '"' << v.as_string() << '"';
+    case ValueKind::kString: {
+      // Escaped so the lexer reads the text back to the same string.
+      std::string_view s = v.as_string();
+      os << '"';
+      for (size_t at; (at = s.find_first_of("\\\"\n")) != s.npos;
+           s.remove_prefix(at + 1)) {
+        os << s.substr(0, at) << '\\' << (s[at] == '\n' ? 'n' : s[at]);
+      }
+      return os << s << '"';
+    }
     case ValueKind::kList: {
       os << '[';
       const ValueList& l = v.as_list();

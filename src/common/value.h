@@ -100,6 +100,9 @@ struct ValueHash {
   size_t operator()(const Value& v) const { return v.Hash(); }
 };
 
+/// \brief The text the parser reads back to an equal Value: finite doubles
+/// as their shortest round-trip text, strings between double quotes with
+/// backslash, double quote and newline escaped (\\\\, \\", \\n).
 std::ostream& operator<<(std::ostream& os, const Value& v);
 
 }  // namespace mmv

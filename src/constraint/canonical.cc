@@ -24,29 +24,14 @@ struct MemberOrder {
 // The one canonical encoder. Constants are written exactly — ints in
 // decimal, doubles as their raw bits, strings length-prefixed — and every
 // token is self-delimiting, so distinct inputs encode distinctly: two
-// constraints colliding on one key would share a cached satisfiability
-// verdict, two atoms would be deduplicated as one. Variables are renamed
-// by first appearance; a blind encoder writes every variable as the same
-// token instead, which gives the ordering key of sorted mode.
+// atoms colliding on one key would be deduplicated as one. Variables are
+// renamed by first appearance; a blind encoder writes every variable as
+// the same token instead, which gives the ordering key of the members.
 class Encoder {
  public:
   Encoder(std::string* out, bool blind) : out_(out), blind_(blind) {}
 
-  // In-order mode: literals then blocks, as they appear.
-  void InOrder(const std::vector<Primitive>& prims,
-               const std::vector<NotBlock>& blocks) {
-    for (const Primitive& p : prims) {
-      Append(p);
-      out_->push_back('&');
-    }
-    for (const NotBlock& b : blocks) {
-      out_->append("N(");
-      InOrder(b.prims, b.inner);
-      out_->append(")&");
-    }
-  }
-
-  // Sorted mode: members in \p order's sequence, blocks recursively.
+  // Members in \p order's sequence, blocks recursively.
   void Sorted(const std::vector<Primitive>& prims,
               const std::vector<NotBlock>& blocks, const MemberOrder& order) {
     for (uint32_t i : order.order) {
@@ -62,8 +47,8 @@ class Encoder {
     }
   }
 
-  // Sorted mode for the constrained atom pred(head) <- c: the head first,
-  // so head variables take the first canonical numbers.
+  // The constrained atom pred(head) <- c: the head first, so head
+  // variables take the first canonical numbers.
   void Atom(Symbol pred, const TermVec& head, const Constraint& c) {
     AppendRaw(pred.name());
     if (c.is_false()) {
@@ -254,7 +239,7 @@ CanonicalKey FingerprintOf(const std::string& encoding) {
   return key;
 }
 
-// Sorted-mode encoding of pred(args) <- c into *out, simplifying first
+// The encoding of pred(args) <- c into *out, simplifying first
 // unless the caller already did.
 void EncodeAtom(Symbol pred, const TermVec& args, const Constraint& c,
                 bool assume_simplified, std::string* out) {
@@ -274,17 +259,6 @@ CanonicalKey CanonicalAtomKey(Symbol pred, const TermVec& args,
                               std::string* scratch) {
   scratch->clear();
   EncodeAtom(pred, args, c, assume_simplified, scratch);
-  return FingerprintOf(*scratch);
-}
-
-CanonicalKey CanonicalConstraintKey(const Constraint& c,
-                                    std::string* scratch) {
-  scratch->clear();
-  if (c.is_false()) {
-    *scratch += "false";
-    return FingerprintOf(*scratch);
-  }
-  Encoder(scratch, /*blind=*/false).InOrder(c.prims(), c.nots());
   return FingerprintOf(*scratch);
 }
 

@@ -1,22 +1,16 @@
-// Canonical forms of constrained atoms and constraints.
+// Canonical form of constrained atoms.
 //
 // One encoder writes every term, constant and literal exactly: ints in
 // decimal, doubles as their raw bits, strings length-prefixed, each token
 // self-delimiting. Nothing goes through Value's text form, so two
 // encodings are equal only for structurally equal inputs (2 and 2.0, 0.0
 // and -0.0, doubles that print alike all stay apart). Variables are
-// renamed by first appearance. The encoder has two modes:
-//   - in-order mode keys the solver memo (constraint/solve_cache.h) by a
-//     bare constraint's literals as they appear. It skips sorting and
-//     simplification: constraints produced by the same clause at
-//     different fresh-variable offsets already agree literal-for-literal,
-//     which is the sharing that matters.
-//   - sorted mode is the atom identity: the head, then the literals and
-//     not-blocks ordered by their variable-blind encodings (each computed
-//     once), nested blocks likewise. Two atoms with the same encoding are
-//     syntactic variants (same literals modulo variable renaming and
-//     literal order). It keys set-semantics dedup in the fixpoint engine,
-//     PlanBatch's burst coalescing and DRed's P_OUT set.
+// renamed by first appearance. The encoding is the atom identity: the
+// head, then the literals and not-blocks ordered by their variable-blind
+// encodings (each computed once), nested blocks likewise. Two atoms with
+// the same encoding are syntactic variants (same literals modulo variable
+// renaming and literal order). It keys set-semantics dedup in the fixpoint
+// engine, PlanBatch's burst coalescing and DRed's P_OUT set.
 // Only the 128-bit hash of an encoding (CanonicalKey) is kept. The mapping
 // is conservative: semantically equivalent atoms may encode differently
 // (the paper notes p(X,Y) <- X = Y+1 vs p(X,Y) <- Y = X-1), in which case
@@ -40,7 +34,7 @@ namespace mmv {
 /// through full-avalanche mixes, so their bits are independent (the naive
 /// two-seeds-one-algorithm alternative leaks correlated low-order bits) —
 /// which is the contract its users (dedup sets, burst coalescing, DRed's
-/// P_OUT set, solver memo) rely on.
+/// P_OUT set) rely on.
 struct CanonicalKey {
   uint64_t lo = 0;
   uint64_t hi = 0;
@@ -60,7 +54,7 @@ struct CanonicalKey {
 };
 
 /// \brief Canonical key of the constrained atom pred(args) <- c: the hash
-/// of its sorted-mode encoding (simplify, sort literals by their
+/// of its encoding (simplify, sort literals by their
 /// variable-blind encodings, rename variables by first appearance).
 ///
 /// The encoding goes into the caller's reusable \p scratch buffer and only
@@ -73,14 +67,7 @@ CanonicalKey CanonicalAtomKey(Symbol pred, const TermVec& args,
                               const Constraint& c, bool assume_simplified,
                               std::string* scratch);
 
-/// \brief Canonical key of a bare constraint for the solver memo: the hash
-/// of its in-order encoding (no sorting, no simplification). Constraints
-/// that differ only in fresh-variable numbering — the shape repeated join
-/// steps of one clause produce — map to the same key; literal-order
-/// variants do not (they simply miss the memo).
-CanonicalKey CanonicalConstraintKey(const Constraint& c, std::string* scratch);
-
-/// \brief The sorted-mode bytes CanonicalAtomKey hashes, with
+/// \brief The bytes CanonicalAtomKey hashes, with
 /// assume_simplified = false. For readable test diffs.
 std::string CanonicalAtomString(Symbol pred, const TermVec& args,
                                 const Constraint& c);

@@ -1,8 +1,5 @@
 #include "constraint/solver.h"
 
-#include "constraint/canonical.h"
-#include "constraint/solve_cache.h"
-
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -708,26 +705,12 @@ SolveOutcome Solver::Solve(const Constraint& c) {
   dca_memo_checked_ = false;
   if (c.is_false()) return SolveOutcome::kUnsat;
   if (c.is_true()) return SolveOutcome::kSat;
-  // Satisfiability fast path: the linear screen runs BEFORE the memo
-  // lookup — a rejection skips even the canonical-key rendering, and the
-  // screen is sound for rejection only, so outcomes are unchanged.
+  // Satisfiability fast path: the linear screen is sound for rejection
+  // only, so outcomes are unchanged.
   if (options_.fastpath &&
       TestSatisfiability(c) == SolveOutcome::kUnsat) {
     return SolveOutcome::kUnsat;
   }
-  if (options_.cache == nullptr) return SolveUncached(c);
-  CanonicalKey key = CanonicalConstraintKey(c, options_.cache->scratch());
-  if (const SolveOutcome* hit = options_.cache->Lookup(key)) {
-    stats_.cache_hits++;
-    return *hit;
-  }
-  SolveOutcome outcome = SolveUncached(c);
-  // Errors are evaluator failures, not properties of the constraint.
-  if (outcome != SolveOutcome::kError) options_.cache->Insert(key, outcome);
-  return outcome;
-}
-
-SolveOutcome Solver::SolveUncached(const Constraint& c) {
   int64_t budget = options_.max_choice_branches;
 
   // Fast path / pruning: the positive part must be satisfiable on its own.

@@ -178,8 +178,6 @@ struct VarDomainInfo {
   bool touched_by_deferred = false;      ///< a deferred literal mentions it
 };
 
-class SolveCache;
-
 /// \brief Tuning knobs for the solver.
 struct SolverOptions {
   /// Upper bound on choice combinations (not-blocks plus candidate splits)
@@ -187,11 +185,6 @@ struct SolverOptions {
   int64_t max_choice_branches = 100000;
   /// When false, DCA-atoms are never evaluated (pure W_P syntactic mode).
   bool evaluate_dca = true;
-  /// Optional memo of outcomes keyed by canonical constraint form
-  /// (constraint/solve_cache.h). Not owned. The caller guarantees the
-  /// evaluator state and solver options stay fixed for the cache lifetime;
-  /// every Solver sharing one cache must use identical options.
-  SolveCache* cache = nullptr;
   /// Satisfiability fast path: run the linear TestSatisfiability screen
   /// before the full decision procedure (and let the planned executor
   /// screen whole join candidates via RejectJoin before assembling their
@@ -221,11 +214,10 @@ class Solver {
   explicit Solver(DcaEvaluator* evaluator, SolverOptions options = {})
       : evaluator_(evaluator), options_(options) {}
 
-  /// \brief Decides satisfiability of \p c. When options.cache is set, a
-  /// canonical-form memo answers repeated shapes without re-solving. With
-  /// options.fastpath (default), TestSatisfiability screens the constraint
-  /// first; a screen rejection returns kUnsat without canonicalizing,
-  /// memo-probing or running the decision procedure.
+  /// \brief Decides satisfiability of \p c: the trivial checks, then
+  /// (with options.fastpath, the default) the TestSatisfiability screen,
+  /// whose rejection returns kUnsat at once, then the decision procedure.
+  /// Domain calls go through the call memo described above.
   SolveOutcome Solve(const Constraint& c);
 
   /// \brief Linear may-satisfiability screen, sound for REJECTION only:
@@ -290,7 +282,6 @@ class Solver {
     Interval interval;                                 ///< kInterval
   };
 
-  SolveOutcome SolveUncached(const Constraint& c);
   SolveOutcome SolveConjunctionWithSplits(std::vector<Primitive>* prims,
                                           int64_t* budget);
 

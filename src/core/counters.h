@@ -89,7 +89,6 @@ struct CounterInfo {
   C(int64_t, dca_evaluations, kStrategy, "DCA-atom evaluations")             \
   C(int64_t, choice_branches, kStrategy, "disjunctive branches explored")    \
   C(int64_t, literals_processed, kStrategy, "literals propagated")           \
-  C(int64_t, cache_hits, kStrategy, "Solve calls the SolveCache answered")    \
   MMV_SAT_COUNTERS(C)
 
 // core/fixpoint.h

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
-#include <map>
 #include <memory>
 #include <tuple>
 #include <unordered_map>
@@ -241,20 +240,17 @@ class ClauseRunner {
       head = std::move(s.head);
       constraint = std::move(s.constraint);
     }
-    if (constraint.is_false() && options_.prune_static_contradictions) {
+    if (constraint.is_false()) {
       stats_->unsat_pruned++;
       return Status::OK();
     }
-    if (options_.op == OperatorKind::kTp && !constraint.is_false()) {
+    if (options_.op == OperatorKind::kTp) {
       SolveOutcome o = solver_->Solve(constraint);
       if (o == SolveOutcome::kError) return solver_->last_status();
       if (o == SolveOutcome::kUnsat) {
         stats_->unsat_pruned++;
         return Status::OK();
       }
-    } else if (options_.op == OperatorKind::kTp && constraint.is_false()) {
-      stats_->unsat_pruned++;
-      return Status::OK();
     }
 
     ViewAtom atom;
@@ -585,7 +581,6 @@ struct RoundSlice {
   // Fan-out only:
   size_t pool = 0;            ///< round candidate pool (parts > 1)
   size_t begin = 0, end = 0;  ///< shard range within the pool
-  SolveCache* cache = nullptr;  ///< persistent per-slice solver memo
 };
 
 // Stages one slice's derivations; canonical dedup keys are computed here
@@ -657,8 +652,10 @@ class StagingSink : public DeriveSink {
 // shard, enumeration) order — exactly the inline append order — doing
 // dedup, counters and plan feedback on the engine thread. Hence canonical
 // atom sets, support multisets and derivation counters are identical
-// whatever the thread count; only fresh-variable numbering and solver-memo
-// hit counts are scheduling-free but not one-thread-identical.
+// whatever the thread count; only fresh-variable numbering and the call
+// memo's dca_evaluations (each slice's solver keeps its own) are
+// scheduling-free but not one-thread-identical. Both join strategies run
+// the same Solve; no solve outcome is memoized.
 class Engine {
  public:
   Engine(const Program& program, DcaEvaluator* evaluator,
@@ -667,16 +664,14 @@ class Engine {
         evaluator_(evaluator),
         options_(options),
         stats_(stats),
-        solver_(evaluator, SolverOptionsFor(options, &local_cache_)),
+        solver_(evaluator, options.solver),
         factory_(program.factory()),
         // Early ground rejection is behavior-preserving only when the
         // engine provably drops statically contradictory joins: simplify
-        // detects every ground `=` conflict and pruning (or T_P's
-        // solvability requirement, which pruning subsumes here) drops it.
-        // Without simplify, a kWp run (or a budget-starved kTp solve)
-        // could legitimately keep such an atom — fall back to the oracle.
-        indexed_(options.join_mode == JoinMode::kIndexed &&
-                 options.simplify && options.prune_static_contradictions),
+        // detects every ground `=` conflict and Derive prunes it. Without
+        // simplify, a kWp run (or a budget-starved kTp solve) could
+        // legitimately keep such an atom — fall back to the oracle.
+        indexed_(options.join_mode == JoinMode::kIndexed && options.simplify),
         // Workers call the evaluator unserialized, so fanning out needs
         // one that vouches for concurrent pure reads; any other runs
         // every round inline.
@@ -751,15 +746,6 @@ class Engine {
   }
 
  private:
-  static SolverOptions SolverOptionsFor(const FixpointOptions& o,
-                                        SolveCache* local) {
-    SolverOptions s = o.solver;
-    if (o.join_mode == JoinMode::kIndexed && s.cache == nullptr) {
-      s.cache = local;
-    }
-    return s;
-  }
-
   // Inline sink: dedup + append to the live view.
   class DirectSink : public DeriveSink {
    public:
@@ -807,18 +793,6 @@ class Engine {
     PassWindows windows;
     std::vector<int64_t> cand, acc;  ///< summed slice feedback
   };
-
-  // The persistent solver memo of one (rule, pivot, shard) slice, reused
-  // across ALL fanned-out rounds of the run (the evaluator state is fixed
-  // for the run — the memo's validity contract): hit counts stay
-  // scheduling-independent because each cache belongs to a slice key, not
-  // a thread.
-  SolveCache* SliceCache(const RoundSlice& s) {
-    std::unique_ptr<SolveCache>& slot =
-        slice_caches_[std::make_tuple(s.rule, s.pivot, s.shard)];
-    if (slot == nullptr) slot = std::make_unique<SolveCache>();
-    return slot.get();
-  }
 
   Status RunPlannedRound(size_t delta_begin, size_t delta_end, int round) {
     const std::vector<Clause>& clauses = program_.clauses();
@@ -906,7 +880,6 @@ class Engine {
     // the engine thread, and hand every shard a contiguous range of them.
     std::vector<std::vector<size_t>> pools;
     for (RoundSlice& s : slices_) {
-      s.cache = SliceCache(s);
       if (s.parts == 1) {
         stats_->partition_skipped_small++;
         continue;
@@ -936,15 +909,7 @@ class Engine {
       const RoundSlice& s = slices_[si];
       const Rule& r = rules_[s.rule];
       SliceOutcome& out = (*outcomes)[si];
-      // Per-slice solver memo (see SliceCache): outcomes are identical to
-      // any shared memo's (fixed evaluator state), and a slice-owned one
-      // keeps the pass free of cross-thread coordination. Never share a
-      // memo across threads — even a caller-provided one
-      // (options.solver.cache) is swapped out here; SolveCache is not
-      // synchronized.
-      SolverOptions solver_options = options_.solver;
-      solver_options.cache = s.cache;
-      Solver solver(evaluator_, solver_options);
+      Solver solver(evaluator_, options_.solver);
       VarFactory factory;
       factory.ReserveAbove(kStagingVarBase);
       StagingSink sink(options_, view_.size(), &out.atoms);
@@ -1052,7 +1017,6 @@ class Engine {
   DcaEvaluator* evaluator_;
   FixpointOptions options_;
   FixpointStats* stats_;
-  SolveCache local_cache_;  // used when kIndexed and no caller-shared cache
   Solver solver_;
   VarFactory factory_;
   const bool indexed_;
@@ -1070,9 +1034,6 @@ class Engine {
 
   std::vector<Rule> rules_;          // the program's rules, clause order
   std::vector<RoundSlice> slices_;   // the current planned round's slices
-  // Fan-out state.
-  std::map<std::tuple<size_t, size_t, int>, std::unique_ptr<SolveCache>>
-      slice_caches_;  // per (rule, pivot, shard), whole run
   SolveStats fan_out_solver_;  // workers' solver counters, merge order
 };
 

@@ -25,7 +25,6 @@
 #include <string_view>
 
 #include "common/result.h"
-#include "constraint/solve_cache.h"
 #include "constraint/solver.h"
 #include "core/program.h"
 #include "core/view.h"
@@ -63,14 +62,14 @@ enum class JoinMode : uint8_t {
   /// body argument is already ground, thread an incremental substitution
   /// through the join so ground mismatches reject candidates at position k
   /// before positions k+1..n are enumerated, hoist the seminaive window
-  /// computation out of the recursion, skip the clause rename entirely for
-  /// fully-ground joins, and memoize solver outcomes by canonical form.
+  /// computation out of the recursion, and skip the clause rename entirely
+  /// for fully-ground joins.
   ///
   /// Derives the same atom set as kNaive (modulo fresh-variable numbering).
   /// The engine silently falls back to kNaive when early rejection would
-  /// not be behavior-preserving (simplify or static-contradiction pruning
-  /// disabled — the only configurations in which statically contradictory
-  /// joins survive into the view).
+  /// not be behavior-preserving (simplify disabled — the only
+  /// configuration in which statically contradictory joins survive into
+  /// the view).
   ///
   /// Caveat for MALFORMED programs only: when one predicate holds atoms of
   /// mixed arity, kNaive fails the whole run with an arity-mismatch error
@@ -87,10 +86,10 @@ struct FixpointOptions {
   int max_iterations = 100;
   size_t max_atoms = 5'000'000;
   /// Simplify each derived atom's constraint (recommended; Example 5).
+  /// A derived atom whose constraint is *statically* false (with simplify,
+  /// X=1 ^ X=2 is) is dropped under both operators: static contradictions
+  /// are time-invariant, so the drop is sound under W_P too.
   bool simplify = true;
-  /// Drop atoms whose constraint is *statically* contradictory (X=1 ^ X=2).
-  /// Sound under W_P too, since static contradictions are time-invariant.
-  bool prune_static_contradictions = true;
   /// Derive the program's constrained facts in round 0. Disable for
   /// seminaive *continuations* over maintained views (Algorithm 3): the
   /// facts were derived when the view was first materialized, and blindly
@@ -109,8 +108,8 @@ struct FixpointOptions {
   /// pivot, shard, enumeration) order — exactly the one-thread append
   /// order — so canonical atom sets, support multisets and the derivation
   /// counters are identical to num_threads=1 whatever the thread count.
-  /// (Fresh-variable NUMBERING and solver-memo hit counts may differ —
-  /// the same non-contract PR-3 carved out between join modes. Truncated
+  /// (Fresh-variable NUMBERING and the call memo's dca_evaluations may
+  /// differ — the same non-contract carved out between join modes. Truncated
   /// runs — max_atoms / max_iterations — may cut off at different atoms.
   /// Fan-out checks max_atoms against pre-dedup staged atoms, so a run
   /// that fits the budget on one thread can report truncated — and
@@ -132,11 +131,7 @@ struct FixpointOptions {
   /// (default on; $MMV_SOLVER_FASTPATH=off in the benches/tests) gates the
   /// satisfiability pre-check AND the executor's pre-rename join screen —
   /// both sound for rejection only, so views, support multisets and
-  /// work-product counters are byte-identical either way. solver.cache
-  /// (kIndexed only) shares one SolveCache across engine runs, e.g. the
-  /// ContinueFixpoint continuations of one batch; the caller keeps it
-  /// scoped to one external-database state (see solve_cache.h). When
-  /// null, the engine memoizes within the single run.
+  /// work-product counters are byte-identical either way.
   SolverOptions solver;
 };
 

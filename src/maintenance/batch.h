@@ -138,12 +138,6 @@ struct BatchStats {
 /// smallest clause number found anywhere in the view's support trees
 /// (external leaves included), so supports stay collision-free.
 ///
-/// Memos: a SolveCache passed through \p options.solver.cache is shared by
-/// every delete and insert pass of the batch; absent one, each pass keeps
-/// its own. Like any SolveCache it holds for one external-database state
-/// only (see solve_cache.h): a caller that keeps it across batches drops
-/// or clears it whenever the evaluator's state moves. Domain calls need no
-/// caller memo — each pass's Solver keeps its own epoch-tagged call memo.
 /// A plan::PlanCache passed through \p options.plan_cache carries
 /// compiled clause plans across batches (it revalidates against the
 /// program identity by itself); when absent, one batch-local instance

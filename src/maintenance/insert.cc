@@ -57,17 +57,7 @@ Status InsertBatch(const Program& program, View* view,
   if (!stats) stats = &local;
   *stats = InsertStats();
 
-  // One solver memo for the whole batch: the BuildAdd diffing solver and
-  // every seminaive continuation below share it, so constraints re-solved
-  // across flushes (and across requests) hit the memo. The external
-  // database is fixed for the duration of the batch, which is exactly the
-  // cache's validity contract.
-  SolveCache batch_cache;
   FixpointOptions fix_options = options;
-  if (options.join_mode == JoinMode::kIndexed &&
-      fix_options.solver.cache == nullptr) {
-    fix_options.solver.cache = &batch_cache;
-  }
   // One plan cache for the whole batch: every flushed continuation below
   // reuses the clause plans compiled by the first, instead of recompiling
   // per flush. A caller-provided cache (e.g. ApplyBatch's batch-wide one)

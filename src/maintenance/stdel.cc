@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "constraint/simplify.h"
-#include "constraint/solve_cache.h"
 #include "core/thread_pool.h"
 #include "plan/partition.h"
 #include "plan/plan_cache.h"
@@ -120,14 +119,7 @@ Status DeleteStDelBatch(const Program& program, View* view,
   plan::PlanCache local_plans;
   if (plans == nullptr) plans = &local_plans;
   const int64_t plan_hits_start = plans->stats().cache_hits;
-  // One solver memo per batch: step-3 lifts and the step-4 whole-view prune
-  // re-solve many canonically identical constraints (untouched siblings,
-  // repeated subtraction shapes), and the external database is fixed for
-  // the duration of the batch — the cache's validity contract.
-  SolveCache batch_cache;
-  SolverOptions cached_options = solver_options;
-  if (cached_options.cache == nullptr) cached_options.cache = &batch_cache;
-  Solver solver(evaluator, cached_options);
+  Solver solver(evaluator, solver_options);
   VarFactory factory = FreshFactory(program, *view, requests);
 
   // Step 1: mark every constraint atom in M — once for the whole batch.
@@ -265,10 +257,7 @@ Status DeleteStDelBatch(const Program& program, View* view,
                 continue;
               }
               if (lifted.is_false()) continue;
-              SolverOptions item_options = cached_options;
-              item_options.cache = nullptr;  // never share a memo across
-                                             // threads (not synchronized)
-              Solver item_solver(evaluator, item_options);
+              Solver item_solver(evaluator, solver_options);
               SolveOutcome o = item_solver.Solve(lifted);  // condition (c)
               out.solver = item_solver.stats();
               if (o == SolveOutcome::kError) {

@@ -72,10 +72,10 @@ Status DeleteStDel(const Program& program, View* view,
 /// order the single-threaded sweep uses. Propagation order, replacement
 /// counts and the resulting instance sets are identical to num_threads=1;
 /// only fresh-variable numbering inside surviving constraints (canonical
-/// forms unchanged) and solver-memo hit counts differ. The workers call
-/// \p evaluator unserialized, so the fan-out requires it to be null or
-/// DcaEvaluator::ConcurrentReadSafe(); any other evaluator runs step 3 on
-/// one thread.
+/// forms unchanged) and the call memo's dca_evaluations differ. The
+/// workers call \p evaluator unserialized, so the fan-out requires it to
+/// be null or DcaEvaluator::ConcurrentReadSafe(); any other evaluator runs
+/// step 3 on one thread.
 Status DeleteStDelBatch(const Program& program, View* view,
                         const std::vector<UpdateAtom>& requests,
                         DcaEvaluator* evaluator,

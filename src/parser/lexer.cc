@@ -160,16 +160,34 @@ Result<std::vector<Token>> Lex(std::string_view src) {
       continue;
     }
     if (ch == '"' || ch == '\'') {
+      // Either quote kind; escapes \\, \", \' and \n. A raw newline or
+      // any other escape is an error.
       char quote = ch;
-      size_t start = ++i;
-      while (i < src.size() && src[i] != quote && src[i] != '\n') ++i;
-      if (i >= src.size() || src[i] != quote) {
-        return error("unterminated string literal");
-      }
+      size_t start = i++;
       Token t = make(TokKind::kString);
-      t.text = std::string(src.substr(start, i - start));
-      col += static_cast<int>(i - start) + 2;
-      ++i;
+      while (true) {
+        if (i >= src.size() || src[i] == '\n') {
+          return error("unterminated string literal");
+        }
+        char c = src[i++];
+        if (c == quote) break;
+        if (c != '\\') {
+          t.text.push_back(c);
+          continue;
+        }
+        // A backslash at the end of the line: the loop reports it.
+        if (i >= src.size() || src[i] == '\n') continue;
+        char esc = src[i++];
+        if (esc == 'n') {
+          t.text.push_back('\n');
+        } else if (esc == '\\' || esc == '"' || esc == '\'') {
+          t.text.push_back(esc);
+        } else {
+          return error(std::string("unknown escape '\\") + esc +
+                       "' in string literal");
+        }
+      }
+      col += static_cast<int>(i - start);
       out.push_back(std::move(t));
       continue;
     }

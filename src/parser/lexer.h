@@ -55,7 +55,10 @@ struct Token {
   int col = 1;
 };
 
-/// \brief Tokenizes \p src; supports '%' and '//' line comments.
+/// \brief Tokenizes \p src; supports '%' and '//' line comments. String
+/// literals take either quote kind and the escapes \\\\, \\", \\' and \\n
+/// (the ones operator<<(Value) writes); any other escape, or a raw
+/// newline, is a ParseError.
 Result<std::vector<Token>> Lex(std::string_view src);
 
 /// \brief Human-readable token-kind name for diagnostics.

@@ -228,7 +228,7 @@ TEST(BatchTest, InsertCoveredByEarlierInsertsConsequencesAddsNoExternal) {
 // ---------------------------------------------------------------------------
 // Pipeline execution.
 
-TEST(BatchTest, MixedBatchAppliesInOrder) {
+TEST(BatchTest, MixedBatchAppliesInRequestOrder) {
   TestWorld w = TestWorld::Make();
   Program p = ParseOrDie("a(X) <- X = 1. b(X) <- a(X).");
   View view = MaterializeOrDie(p, w.domains.get());

@@ -73,19 +73,22 @@ TEST(FixpointTest, UnsatJoinsPrunedUnderTp) {
 
 TEST(FixpointTest, WpKeepsAllJoinsSyntactically) {
   TestWorld w = TestWorld::Make();
+  // X = 1 & in(X, between(5, 10)) is unsolvable only through the domain
+  // call: no static contradiction prunes it.
   Program p = ParseOrDie(R"(
     a(X) <- X = 1.
-    b(X) <- X = 2.
-    c(X) <- a(X) & b(X).
+    c(X) <- a(X) & in(X, arith:between(5, 10)).
   )");
   FixpointOptions wp;
   wp.op = OperatorKind::kWp;
-  wp.prune_static_contradictions = false;
   View v = Unwrap(Materialize(p, w.domains.get(), wp));
-  // The c atom exists syntactically (X=1 & X=2 is kept, unsolvable).
+  // The c atom exists syntactically (kept, unsolvable).
   EXPECT_EQ(v.AtomsFor("c").size(), 1u);
   // But it denotes no instances.
   EXPECT_TRUE(InstancesOf(v, "c", w.domains.get()).empty());
+  // T_P prunes the same join by solvability.
+  View tp = MaterializeOrDie(p, w.domains.get());
+  EXPECT_TRUE(tp.AtomsFor("c").empty());
 }
 
 TEST(FixpointTest, DuplicateSemanticsKeepsOneAtomPerDerivation) {

@@ -32,34 +32,6 @@ void ExpectInsertMatchesOracle(Program& program,
             Instances(oracle, world.domains.get()));
 }
 
-// InsertBatch's batch SolveCache reaches every flushed continuation
-// through FixpointOptions::solver.cache. Each request below feeds the
-// next one's predicate, so the batch runs three continuations (two
-// flushes plus the final one); each derives one c(7) under the same
-// canonical constraint X = 7 & in(X, arith:between(0, 50)), which only a
-// memo shared across continuations answers from the second one on.
-TEST(InsertTest, BatchSolveCacheSpansFlushedContinuations) {
-  TestWorld w = TestWorld::Make();
-  Program p = ParseOrDie(
-      "a(X) <- X = 0. b(X) <- X = 0. d(X) <- X = 0."
-      "b(X) <- a(X) & X >= 100. d(X) <- b(X) & X >= 100."
-      "c(X) <- a(X) & in(X, arith:between(0, 50))."
-      "c(X) <- b(X) & in(X, arith:between(0, 50))."
-      "c(X) <- d(X) & in(X, arith:between(0, 50)).");
-  View view = MaterializeOrDie(p, w.domains.get());
-  std::vector<maint::UpdateAtom> requests = {
-      ParseUpdate("a(X) <- X = 7.", &p), ParseUpdate("b(X) <- X = 7.", &p),
-      ParseUpdate("d(X) <- X = 7.", &p)};
-  int ext = 0;
-  maint::InsertStats stats;
-  ASSERT_TRUE(maint::InsertBatch(p, &view, requests, w.domains.get(), {},
-                                 &stats, &ext)
-                  .ok());
-  EXPECT_EQ(stats.add_atoms, 3u);
-  EXPECT_EQ(stats.unfold.solver.solve_calls, 3);
-  EXPECT_EQ(stats.unfold.solver.cache_hits, 2);
-}
-
 TEST(InsertTest, BaseAtomInsertionPropagates) {
   TestWorld w = TestWorld::Make();
   Program p = ParseOrDie("a(X) <- X = 1. b(X) <- a(X). c(X) <- b(X).");

@@ -20,7 +20,6 @@
 
 #include "constraint/canonical.h"
 #include "constraint/simplify.h"
-#include "constraint/solve_cache.h"
 #include "maintenance/insert.h"
 #include "test_util.h"
 #include "workload/generators.h"
@@ -144,7 +143,8 @@ std::vector<int> ThreadSweep() {
 // semantics, since the per-round merge replays the sequential (clause
 // index, enumeration) append order, so even set-semantics representative
 // supports coincide — and the derivation counters. (Fresh-variable
-// numbering and solver cache_hits are the carved-out non-contract.)
+// numbering and the call memo's dca_evaluations are the carved-out
+// non-contract.)
 void ExpectThreadsAgree(const Program& p, DcaEvaluator* eval,
                         FixpointOptions opts, const std::string& trace) {
   opts.max_atoms = 50'000;
@@ -247,26 +247,24 @@ TEST(JoinDifferential, WpOperatorAgrees) {
 }
 
 TEST(JoinDifferential, NaiveFallbackConfigurations) {
-  // simplify / pruning off: the engine must fall back to the oracle join
-  // (probes stay zero) and trivially agree.
+  // simplify off: the engine must fall back to the oracle join (probes
+  // stay zero) and trivially agree.
   TestWorld w = TestWorld::Make();
   Rng rng(77);
   Program p = workload::MakeRandomProgram(&rng, RandomOptions(&rng));
-  for (int mask = 0; mask < 3; ++mask) {
-    // mask 0: both on (pipeline active); 1: pruning off; 2: simplify off.
+  for (bool simplify : {true, false}) {
     FixpointOptions opts;
-    opts.simplify = mask != 2;
-    opts.prune_static_contradictions = mask != 1;
+    opts.simplify = simplify;
     opts.join_mode = JoinMode::kIndexed;
     FixpointStats stats;
     View v = Unwrap(Materialize(p, w.domains.get(), opts, &stats));
-    if (!opts.simplify || !opts.prune_static_contradictions) {
+    if (!opts.simplify) {
       EXPECT_EQ(stats.index_probes, 0) << "expected oracle fallback";
       EXPECT_EQ(stats.rename_skipped, 0);
     }
     opts.join_mode = JoinMode::kNaive;
     View n = Unwrap(Materialize(p, w.domains.get(), opts));
-    EXPECT_EQ(CanonicalAtoms(n), CanonicalAtoms(v)) << "mask " << mask;
+    EXPECT_EQ(CanonicalAtoms(n), CanonicalAtoms(v)) << "simplify " << simplify;
   }
 }
 
@@ -621,39 +619,6 @@ TEST(JoinDifferential, CanonicalAssumeSimplifiedIsConsistent) {
                 CanonicalAtomString(a.pred, a.args, a.constraint));
     }
   }
-}
-
-// Constraints identical modulo fresh-variable numbering share one solver
-// memo entry.
-TEST(SolveCacheTest, RenamedConstraintsHitTheMemo) {
-  SolveCache cache;
-  SolverOptions opts;
-  opts.cache = &cache;
-  Solver solver(nullptr, opts);
-
-  Constraint c1;
-  c1.Add(Primitive::Eq(Term::Var(3), Term::Const(Value(5))));
-  c1.Add(Primitive::Cmp(Term::Var(4), CmpOp::kLe, Term::Var(3)));
-  Constraint c2;  // same shape, shifted variable ids
-  c2.Add(Primitive::Eq(Term::Var(90), Term::Const(Value(5))));
-  c2.Add(Primitive::Cmp(Term::Var(91), CmpOp::kLe, Term::Var(90)));
-  Constraint c3;  // different constant: its own entry
-  c3.Add(Primitive::Eq(Term::Var(2), Term::Const(Value(6))));
-  c3.Add(Primitive::Cmp(Term::Var(1), CmpOp::kLe, Term::Var(2)));
-
-  EXPECT_EQ(solver.Solve(c1), solver.Solve(c2));
-  EXPECT_EQ(solver.stats().cache_hits, 1);
-  solver.Solve(c3);
-  EXPECT_EQ(solver.stats().cache_hits, 1);
-  solver.Solve(c3);
-  EXPECT_EQ(solver.stats().cache_hits, 2);
-  EXPECT_EQ(cache.stats().hits, 2);
-  EXPECT_EQ(cache.size(), 2u);
-
-  // Trivially true/false constraints short-circuit before the memo.
-  EXPECT_EQ(solver.Solve(Constraint::True()), SolveOutcome::kSat);
-  EXPECT_EQ(solver.Solve(Constraint::False()), SolveOutcome::kUnsat);
-  EXPECT_EQ(cache.size(), 2u);
 }
 
 }  // namespace

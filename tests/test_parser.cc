@@ -78,6 +78,33 @@ TEST(LexerTest, PrintedDoublesLexBackExactly) {
   }
 }
 
+TEST(LexerTest, PrintedStringsLexBack) {
+  // Unescaped, a newline would end the literal and an inner quote close it
+  // early.
+  for (std::string str : {std::string("a\\b\nc"), std::string("say \"hi\""),
+                          std::string("it's"), std::string("\\n"),
+                          std::string("\\")}) {
+    std::string text = Value(str).ToString();
+    auto toks = Unwrap(parser::Lex(text));
+    ASSERT_EQ(toks[0].kind, parser::TokKind::kString) << text;
+    EXPECT_EQ(toks[0].text, str) << text;
+    EXPECT_EQ(toks[1].kind, parser::TokKind::kEof) << text;
+  }
+  EXPECT_EQ(Value("a\\b\nc").ToString(), R"("a\\b\nc")");
+}
+
+TEST(LexerTest, StringEscapes) {
+  auto toks = Unwrap(parser::Lex(R"('\\ \" \' \n' "\\ \" \' \n")"));
+  ASSERT_EQ(toks.size(), 3u);
+  EXPECT_EQ(toks[0].text, "\\ \" ' \n");
+  EXPECT_EQ(toks[1].text, "\\ \" ' \n");
+  EXPECT_FALSE(parser::Lex(R"("a\qb")").ok());   // unknown escape
+  EXPECT_FALSE(parser::Lex(R"("a\tb")").ok());
+  EXPECT_FALSE(parser::Lex("\"a\nb\"").ok());    // raw newline
+  EXPECT_FALSE(parser::Lex("\"a\\\nb\"").ok());  // escaped raw newline
+  EXPECT_FALSE(parser::Lex(R"("a\)").ok());      // backslash at the end
+}
+
 TEST(LexerTest, Errors) {
   EXPECT_FALSE(parser::Lex("\"unterminated").ok());
   EXPECT_FALSE(parser::Lex("p | q").ok());

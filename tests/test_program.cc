@@ -38,7 +38,7 @@ TEST(ProgramTest, RecursionDetection) {
   EXPECT_TRUE(ParseOrDie("a(X) <- a(X).").IsRecursive());
 }
 
-TEST(ClauseTest, VariablesInOrder) {
+TEST(ClauseTest, VariablesCoverHeadConstraintAndBody) {
   Program p = ParseOrDie("h(X, Y) <- X = 1 & in(Z, arith:greater(Y)) || b(W).");
   std::vector<VarId> vars = p.clauses()[0].Variables();
   EXPECT_EQ(vars.size(), 4u);  // X, Y, Z, W

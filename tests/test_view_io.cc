@@ -108,6 +108,24 @@ TEST(ViewIoTest, DoublesRoundTripExactly) {
                                    "p(-0.0)", "p(2.0)"}));
 }
 
+TEST(ViewIoTest, StringsWithQuotesRoundTrip) {
+  // Unescaped, the inner quote would end the string: p("say "hi"") does
+  // not parse.
+  TestWorld w = TestWorld::Make();
+  Program p = ParseOrDie(R"(
+    p(X) <- X = 'say "hi"'.
+    p(X) <- X = "it's".
+  )");
+  View view = MaterializeOrDie(p, w.domains.get());
+  std::string text = parser::SerializeView(view);
+  View loaded = Unwrap(parser::DeserializeView(text, &p));
+  EXPECT_EQ(testutil::CanonicalState(loaded), testutil::CanonicalState(view));
+  EXPECT_EQ(Instances(loaded, w.domains.get()),
+            Instances(view, w.domains.get()));
+  EXPECT_EQ(Instances(loaded, w.domains.get()),
+            (std::set<std::string>{R"(p("say \"hi\""))", R"(p("it's"))"}));
+}
+
 TEST(ViewIoTest, LoadedViewIsMaintainable) {
   // A deserialized view must keep working: supports must line up with the
   // program's clause numbering so StDel can propagate.
@@ -263,6 +281,27 @@ TEST(BurstIoTest, DoublesRoundTripExactly) {
                                                original[i].atom.constraint));
   }
   EXPECT_NE(keys[0], keys[1]);
+}
+
+TEST(BurstIoTest, StringsWithQuotesRoundTrip) {
+  // A WAL payload holding a double quote inside a string must parse back.
+  Program p;
+  auto original = Unwrap(parser::ParseBurst(
+      "ins r(X) <- X = 'say \"hi\"'.\ndel r(X) <- X = \"a\\\\b\\nc\".\n",
+      &p));
+  ASSERT_EQ(original.size(), 2u);
+  std::string text = parser::SerializeBurst(original, p.names());
+  auto reparsed = Unwrap(parser::ParseBurst(text, &p));
+  ASSERT_EQ(reparsed.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(reparsed[i].is_delete, original[i].is_delete);
+    EXPECT_EQ(CanonicalAtomString(reparsed[i].atom.pred,
+                                  reparsed[i].atom.args,
+                                  reparsed[i].atom.constraint),
+              CanonicalAtomString(original[i].atom.pred,
+                                  original[i].atom.args,
+                                  original[i].atom.constraint));
+  }
 }
 
 }  // namespace
