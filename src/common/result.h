@@ -3,7 +3,6 @@
 #ifndef MMV_COMMON_RESULT_H_
 #define MMV_COMMON_RESULT_H_
 
-#include <cassert>
 #include <optional>
 #include <utility>
 
@@ -11,10 +10,18 @@
 
 namespace mmv {
 
+namespace internal {
+/// \brief Prints "<what>: <status>" to stderr and aborts: the cold path of
+/// Result's checked accessors, out of line so each stays one branch.
+[[noreturn, gnu::cold]] void ResultAbort(const char* what,
+                                         const Status& status);
+}  // namespace internal
+
 /// \brief Holds either a value of type T or an error Status.
 ///
 /// Mirrors arrow::Result. Use MMV_ASSIGN_OR_RETURN to unwrap inside
-/// Status-returning functions.
+/// Status-returning functions. Misuse aborts in every build: unwrapping an
+/// error Result, or building an error Result from an OK status.
 template <typename T>
 class Result {
  public:
@@ -23,7 +30,9 @@ class Result {
 
   /// Constructs from an error status. \p status must not be OK.
   Result(Status status) : status_(std::move(status)) {  // NOLINT
-    assert(!status_.ok());
+    if (status_.ok()) {
+      internal::ResultAbort("Result built from an OK status", status_);
+    }
   }
 
   /// \brief True iff a value is held.
@@ -32,17 +41,17 @@ class Result {
   /// \brief The status: OK when a value is held.
   const Status& status() const { return status_; }
 
-  /// \brief Access the held value; undefined if !ok().
+  /// \brief Access the held value; aborts if !ok().
   const T& ValueOrDie() const& {
-    assert(ok());
+    CheckOk();
     return *value_;
   }
   T& ValueOrDie() & {
-    assert(ok());
+    CheckOk();
     return *value_;
   }
   T ValueOrDie() && {
-    assert(ok());
+    CheckOk();
     return std::move(*value_);
   }
 
@@ -57,6 +66,10 @@ class Result {
   }
 
  private:
+  void CheckOk() const {
+    if (!ok()) internal::ResultAbort("ValueOrDie on an error Result", status_);
+  }
+
   std::optional<T> value_;
   Status status_;  // OK iff value_ set
 };

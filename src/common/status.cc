@@ -1,5 +1,10 @@
 #include "common/status.h"
 
+#include <cstdio>
+#include <cstdlib>
+
+#include "common/result.h"
+
 namespace mmv {
 
 const char* StatusCodeName(StatusCode code) {
@@ -35,5 +40,14 @@ std::string Status::ToString() const {
   out += message();
   return out;
 }
+
+namespace internal {
+
+void ResultAbort(const char* what, const Status& status) {
+  std::fprintf(stderr, "%s: %s\n", what, status.ToString().c_str());
+  std::abort();
+}
+
+}  // namespace internal
 
 }  // namespace mmv

@@ -138,10 +138,10 @@ class DcaEvaluator {
   /// epoch for its call memo), provided no writer mutates the backing state
   /// for the duration (the same single-writer contract StateEpoch already
   /// polices: parallel passes capture the epoch up front and fail loudly
-  /// on a mismatch). Parallel fixpoint rounds and StDel lift sweeps fan
-  /// out only over an evaluator reporting true; defaults to false, which
-  /// runs those passes on one thread. DomainManager reports true when
-  /// every registered domain is a pure reader.
+  /// on a mismatch). Parallel fixpoint rounds fan out only over an
+  /// evaluator reporting true; defaults to false, which runs those rounds
+  /// on one thread. DomainManager reports true when every registered
+  /// domain is a pure reader.
   virtual bool ConcurrentReadSafe() const { return false; }
 
  private:

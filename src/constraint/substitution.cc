@@ -51,15 +51,15 @@ Substitution FreshRenaming(const std::vector<VarId>& vars,
 void RemapVarsAtOrAbove(VarId base, VarFactory* factory, TermVec* args,
                         Constraint* constraint, VarSet* scratch) {
   scratch->Clear();
-  if (args != nullptr) scratch->AddTerms(*args);
-  if (constraint != nullptr) constraint->CollectVariables(scratch);
+  scratch->AddTerms(*args);
+  constraint->CollectVariables(scratch);
   Substitution rename;
   for (VarId v : scratch->vars()) {
     if (v >= base) rename.Bind(v, Term::Var(factory->Fresh()));
   }
   if (rename.empty()) return;
-  if (args != nullptr) *args = rename.Apply(*args);
-  if (constraint != nullptr) *constraint = rename.Apply(*constraint);
+  *args = rename.Apply(*args);
+  *constraint = rename.Apply(*constraint);
 }
 
 }  // namespace mmv

@@ -65,8 +65,8 @@ Substitution FreshRenaming(const std::vector<VarId>& vars,
 /// order (args first, then constraint). This is the deterministic merge
 /// step that moves PASS-LOCAL staging variables (kStagingVarBase, term.h)
 /// into a run's real factory — keep it the ONLY implementation: a missed
-/// remap leaks pass-local ids into durable state. Either of \p args /
-/// \p constraint may be null; \p scratch is a reusable VarSet.
+/// remap leaks pass-local ids into durable state. \p scratch is a
+/// reusable VarSet.
 void RemapVarsAtOrAbove(VarId base, VarFactory* factory, TermVec* args,
                         Constraint* constraint, VarSet* scratch);
 

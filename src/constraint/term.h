@@ -90,14 +90,13 @@ class VarFactory {
   VarId next_ = 0;
 };
 
-/// \brief Base of the PASS-LOCAL staging variable range. Parallel passes
-/// (fixpoint clause rounds, StDel step-3 lift checks) standardize apart
-/// through private factories reserved above this id; the deterministic
-/// merge on the coordinating thread renames any staging variable that
-/// survives into the run's real factory before it reaches durable state,
-/// so real ids never meet staging ids. Real factories stay far below this
-/// in practice; passes fall back to sequential execution if one ever
-/// approaches it.
+/// \brief Base of the PASS-LOCAL staging variable range. Parallel
+/// fixpoint clause rounds standardize apart through private factories
+/// reserved above this id; the deterministic merge on the coordinating
+/// thread renames any staging variable that survives into the run's real
+/// factory before it reaches durable state, so real ids never meet
+/// staging ids. Real factories stay far below this in practice; rounds
+/// fall back to sequential execution if one ever approaches it.
 constexpr VarId kStagingVarBase = VarId{1} << 30;
 
 /// \brief Collects the distinct variables of \p terms into \p out

@@ -67,8 +67,7 @@ struct CounterInfo {
     "screens that refuted deterministically, no memo consulted")
 
 // Plan-layer and fan-out counters of one engine pass: spliced into
-// FixpointStats, StDelStats and BatchStats. A layer that does not
-// produce one leaves it at zero.
+// FixpointStats and BatchStats.
 #define MMV_PASS_COUNTERS(C)                                                 \
   C(int64_t, plan_reorders, kStrategy,                                       \
     "plan compiles whose execution order differs from the body order")      \
@@ -77,7 +76,7 @@ struct CounterInfo {
   C(int64_t, plan_cache_hits, kStrategy,                                     \
     "clause plans served without compiling")                                 \
   C(int64_t, partitions_run, kThread,                                        \
-    "delta-window or lift-item shards executed as their own tasks")          \
+    "delta-window shards executed as their own tasks")                       \
   C(int64_t, partition_skipped_small, kThread,                               \
     "shardable windows left whole: below the size threshold")                \
   C(int64_t, evaluator_clones, kThread,                                      \
@@ -114,7 +113,8 @@ struct CounterInfo {
   C(size_t, replacements, kWork, "constraint replacements (step 2 + 3)")     \
   C(size_t, step2_replacements, kStrategy, "direct Del-overlap subtractions") \
   C(size_t, removed_unsolvable, kStrategy, "atoms step 4 pruned")            \
-  MMV_PASS_COUNTERS(C)                                                       \
+  C(int64_t, plan_cache_hits, kStrategy,                                     \
+    "clause plans served without compiling")                                 \
   N(SolveStats, solver, "")
 
 // maintenance/insert.h: the BuildAdd solver and the continuation's run

@@ -120,6 +120,8 @@ struct FixpointOptions {
   /// serialization. With any other evaluator — e.g. a DomainManager over a
   /// domain that is not a pure reader — every round runs on one thread, as
   /// do naive-join and fallback configurations, whatever this value says.
+  /// maint::ApplyBatch hands it to its insertion continuations only; its
+  /// StDel delete passes run on the calling thread.
   int num_threads = 1;
   /// Optional compiled-plan cache shared across engine runs. Pass one
   /// cache through a sequence of continuations / maintenance passes so

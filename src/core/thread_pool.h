@@ -1,16 +1,16 @@
 // A lazily-grown, process-wide worker pool for the parallel-strata
-// executor (core/fixpoint.cc) and StDel's parallel step-3 lift checks.
+// executor (core/fixpoint.cc).
 //
 // Design constraints, in order:
 //   1. Determinism is the CALLER's job: ParallelFor only promises that
 //      fn(0..n-1) each run exactly once before it returns. Callers write
 //      results into per-item slots and merge them in a fixed order, so the
 //      work-claiming order (an atomic ticket) never shows in any output.
-//   2. One pool per process: maintenance layers call ParallelFor once per
-//      fixpoint round / propagation pair, and paying thread creation per
-//      call would swamp the parallelism on small rounds. The pool grows to
-//      the largest parallelism ever requested and its threads idle on a
-//      condition variable between batches.
+//   2. One pool per process: the engine calls ParallelFor once per
+//      fixpoint round, and paying thread creation per call would swamp
+//      the parallelism on small rounds. The pool grows to the largest
+//      parallelism ever requested and its threads idle on a condition
+//      variable between batches.
 //   3. Batches never nest: a ParallelFor issued while another is running
 //      (a worker item starting its own, or a second engine on another
 //      thread) runs its items inline on the calling thread instead —

@@ -34,16 +34,9 @@ Status TruncatedInsert() {
       "maintained view would be incomplete");
 }
 
-// Lifts one engine pass's plan-layer and fan-out counters (the list
-// FixpointStats, StDelStats and BatchStats splice) and its solver's
-// fast-path screens into the batch totals.
+// Lifts a solver's fast-path screens into the batch totals.
 void AddSolverScreens(const SolveStats& from, BatchStats& to) {
   MMV_SAT_COUNTERS(MMV_LIFT_COUNTER_)
-}
-template <typename Pass>
-void AddPassCounters(const Pass& from, BatchStats& to) {
-  MMV_PASS_COUNTERS(MMV_LIFT_COUNTER_)
-  AddSolverScreens(from.solver, to);
 }
 
 // Folds one StDel pass over \p requests delete requests into \p stats.
@@ -54,18 +47,23 @@ void AddDeletePass(const StDelStats& s, size_t requests, BatchStats* stats) {
   stats->replacements += s.replacements;
   stats->step3_replacements += s.step3_replacements();
   stats->removed_unsolvable += s.removed_unsolvable;
-  AddPassCounters(s, *stats);
+  stats->plan_cache_hits += s.plan_cache_hits;
+  AddSolverScreens(s.solver, *stats);
 }
 
 // Folds one insertion pass over \p requests insert requests into \p stats:
-// its continuation's counters and both its solvers' screens.
+// its continuation's plan-layer and fan-out counters (the list
+// FixpointStats and BatchStats splice) and both its solvers' screens.
 void AddInsertPass(const InsertStats& s, size_t requests, BatchStats* stats) {
   stats->insert_passes++;
   stats->insertions_applied += requests;
   stats->add_atoms += s.add_atoms;
   stats->insertion_pass_atoms += s.atoms_added;
-  AddPassCounters(s.unfold, *stats);
-  AddSolverScreens(s.solver, *stats);
+  const FixpointStats& from = s.unfold;
+  BatchStats& to = *stats;
+  MMV_PASS_COUNTERS(MMV_LIFT_COUNTER_)
+  AddSolverScreens(from.solver, to);
+  AddSolverScreens(s.solver, to);
 }
 
 // Predicates participating in any non-fact clause, as head or body atom.
@@ -220,8 +218,7 @@ Status ApplyBatch(const Program& program, View* view,
         StDelStats s;
         MMV_RETURN_NOT_OK(DeleteStDelBatch(program, view, requests, evaluator,
                                            batch_options.solver, &s,
-                                           batch_options.plan_cache,
-                                           batch_options.num_threads));
+                                           batch_options.plan_cache));
         AddDeletePass(s, requests.size(), stats);
       } else {
         InsertStats s;

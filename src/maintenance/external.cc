@@ -29,45 +29,5 @@ Status MaintainedView::OnExternalChange() {
   return Status::OK();
 }
 
-namespace {
-
-void CollectFromBlock(const NotBlock& b, std::vector<DomainCall>* out) {
-  for (const Primitive& p : b.prims) {
-    if (p.kind == PrimKind::kIn || p.kind == PrimKind::kNotIn) {
-      out->push_back(p.call);
-    }
-  }
-  for (const NotBlock& i : b.inner) CollectFromBlock(i, out);
-}
-
-}  // namespace
-
-std::vector<DomainCall> CollectDomainCalls(const Program& program) {
-  std::vector<DomainCall> calls;
-  for (const Clause& c : program.clauses()) {
-    for (const Primitive& p : c.constraint.prims()) {
-      if (p.kind == PrimKind::kIn || p.kind == PrimKind::kNotIn) {
-        calls.push_back(p.call);
-      }
-    }
-    for (const NotBlock& b : c.constraint.nots()) {
-      CollectFromBlock(b, &calls);
-    }
-  }
-  // Deduplicate structurally.
-  std::vector<DomainCall> out;
-  for (const DomainCall& c : calls) {
-    bool dup = false;
-    for (const DomainCall& q : out) {
-      if (q == c) {
-        dup = true;
-        break;
-      }
-    }
-    if (!dup) out.push_back(c);
-  }
-  return out;
-}
-
 }  // namespace maint
 }  // namespace mmv

@@ -68,11 +68,6 @@ class MaintainedView {
   int64_t maintenance_derivations_ = 0;
 };
 
-/// \brief All distinct domain calls mentioned by a program's clause
-/// constraints — the calls whose deltas (f+, f-) matter after an external
-/// update.
-std::vector<DomainCall> CollectDomainCalls(const Program& program);
-
 }  // namespace maint
 }  // namespace mmv
 

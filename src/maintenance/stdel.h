@@ -63,26 +63,12 @@ Status DeleteStDel(const Program& program, View* view,
 /// variable list (ClausePlan::clause_vars) skips the per-visit clause walk.
 /// Pass the per-program cache the fixpoint/insertion layers use (ApplyBatch
 /// threads one across its passes); null uses a run-local cache.
-///
-/// \p num_threads > 1 parallelizes step 3's LIFT CHECKS (rename, reassembly,
-/// simplify, solve — the expensive part) across each P_OUT pair's parents:
-/// the checks read only snapshot state (the pair, the original-constraint
-/// snapshot, immutable atom args), so they are order-independent, and the
-/// constraint subtractions are then applied sequentially in the parent
-/// order the single-threaded sweep uses. Propagation order, replacement
-/// counts and the resulting instance sets are identical to num_threads=1;
-/// only fresh-variable numbering inside surviving constraints (canonical
-/// forms unchanged) and the call memo's dca_evaluations differ. The
-/// workers call \p evaluator unserialized, so the fan-out requires it to
-/// be null or DcaEvaluator::ConcurrentReadSafe(); any other evaluator runs
-/// step 3 on one thread.
 Status DeleteStDelBatch(const Program& program, View* view,
                         const std::vector<UpdateAtom>& requests,
                         DcaEvaluator* evaluator,
                         const SolverOptions& solver_options = {},
                         StDelStats* stats = nullptr,
-                        plan::PlanCache* plans = nullptr,
-                        int num_threads = 1);
+                        plan::PlanCache* plans = nullptr);
 
 }  // namespace maint
 }  // namespace mmv

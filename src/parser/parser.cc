@@ -277,6 +277,7 @@ class ParserImpl {
       case TokKind::kIdent:
         if (t.text == "true") return Term::Const(Value(true));
         if (t.text == "false") return Term::Const(Value(false));
+        if (t.text == "null") return Term::Const(Value());
         // Bare lowercase identifier: a string constant (Datalog style).
         return Term::Const(Value(t.text));
       default:

@@ -10,11 +10,12 @@
 //              | 'notin' '(' term ',' dcall ')'
 //   dcall     := ident ':' ident '(' [term (',' term)*] ')'
 //   atom      := ident '(' [term (',' term)*] ')'
-//   term      := VAR | INT | FLOAT | STRING | 'true' | 'false' | ident
+//   term      := VAR | INT | FLOAT | STRING | 'true' | 'false' | 'null'
+//              | ident
 //   SEP       := '&' | ',' | '||'
 //   CMP       := '=' | '!=' | '<' | '<=' | '>' | '>='
 //
-// Lowercase identifiers in term position denote string constants
+// Other lowercase identifiers in term position denote string constants
 // (Datalog-style), so p(a, b) abbreviates p("a", "b"). Variables are scoped
 // per clause and numbered from the program's VarFactory; their source names
 // are recorded in the program's VarNames for pretty printing.

@@ -4,8 +4,8 @@
 // (clause, pivot) pass — the seminaive pivot bucket — into contiguous
 // ranges, one ThreadPool task each. The split must be deterministic (it
 // feeds a byte-identity merge) and must never split or duplicate an entry,
-// so both the shard count and the range arithmetic live here, shared by
-// the fixpoint engine and StDel's step-3 fan-out and unit-tested directly.
+// so both the shard count and the range arithmetic live here, where they
+// are unit-tested directly.
 
 #ifndef MMV_PLAN_PARTITION_H_
 #define MMV_PLAN_PARTITION_H_
@@ -24,16 +24,15 @@ namespace plan {
 constexpr size_t kMinPartitionItems = 64;
 
 /// \brief Number of contiguous shards for \p items work units, at most
-/// \p max_partitions, requiring at least \p min_per_shard items per shard.
+/// \p max_partitions, with at least kMinPartitionItems items per shard.
 /// Returns 1 ("do not split") for sequential callers, empty inputs and
 /// windows too small to amortize the fan-out. Deterministic in its
 /// arguments only — never in thread scheduling — so a parallel round's
 /// shard layout is a pure function of the frozen delta window.
-inline int PartitionCountFor(size_t items, int max_partitions,
-                             size_t min_per_shard = kMinPartitionItems) {
-  if (max_partitions <= 1 || min_per_shard == 0) return 1;
-  if (items < 2 * min_per_shard) return 1;
-  size_t by_items = items / min_per_shard;
+inline int PartitionCountFor(size_t items, int max_partitions) {
+  if (max_partitions <= 1) return 1;
+  if (items < 2 * kMinPartitionItems) return 1;
+  size_t by_items = items / kMinPartitionItems;
   size_t cap = static_cast<size_t>(max_partitions);
   return static_cast<int>(std::min(by_items, cap));
 }

@@ -236,17 +236,6 @@ TEST(CanonicalKeyTest, ConstantsAreEqualExactlyWhenCallKeysAre) {
 
 // ---- value text round trip -----------------------------------------------
 
-// True when \p v holds a null, which prints as `null` and reads back as the
-// string "null".
-bool HoldsNull(const Value& v) {
-  if (v.kind() == ValueKind::kNull) return true;
-  if (v.kind() != ValueKind::kList) return false;
-  for (const Value& e : v.as_list()) {
-    if (HoldsNull(e)) return true;
-  }
-  return false;
-}
-
 // value -> text -> lexer and parser: the same value (equal under the exact
 // call-key equality, so 2 vs 2.0 and 0.0 vs -0.0 stay apart) that prints
 // as the same text.
@@ -256,7 +245,6 @@ TEST(ValueTextTest, PrintedValuesParseBackEqual) {
   for (int i = 0; i < 500; ++i) pool.push_back(RandomValue(&rng, pool, 0));
   int checked = 0;
   for (const Value& v : pool) {
-    if (HoldsNull(v)) continue;
     std::string text = v.ToString();
     Program program;
     auto atom = parser::ParseConstrainedAtom("v(" + text + ").", &program);

@@ -102,20 +102,6 @@ TEST_F(ExternalTest, PoliciesAgreeAtEveryTick) {
   EXPECT_EQ(wp.recompute_count(), 0);
 }
 
-TEST_F(ExternalTest, CollectDomainCalls) {
-  std::vector<DomainCall> calls = maint::CollectDomainCalls(program_);
-  ASSERT_EQ(calls.size(), 2u);
-  EXPECT_EQ(calls[0].domain, "rel");
-  EXPECT_EQ(calls[1].domain, "tuple");
-
-  // Duplicates collapse.
-  Program p2 = ParseOrDie(R"(
-    x(A) <- in(A, rel:scan("emp")).
-    y(A) <- in(A, rel:scan("emp")).
-  )");
-  EXPECT_EQ(maint::CollectDomainCalls(p2).size(), 1u);
-}
-
 TEST_F(ExternalTest, DeltaDrivesRemAddSets) {
   int64_t t0 = world_.catalog->clock().now();
   MutateEmp();

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "common/result.h"
 #include "common/status.h"
 
@@ -92,6 +95,23 @@ TEST(ResultTest, MoveOnlyValue) {
   ASSERT_TRUE(r.ok());
   std::unique_ptr<int> p = std::move(r).ValueOrDie();
   EXPECT_EQ(*p, 7);
+}
+
+// Misuse aborts with the status on stderr in every build, NDEBUG too:
+// unwrapping an error Result must not read an empty optional.
+TEST(ResultDeathTest, UnwrappingAnErrorAborts) {
+  Result<std::vector<int>> bad(Status::NotFound("no table x"));
+  EXPECT_DEATH((void)bad.ValueOrDie(),
+               "ValueOrDie on an error Result: NotFound: no table x");
+  EXPECT_DEATH((void)std::move(bad).ValueOrDie(), "NotFound: no table x");
+  EXPECT_DEATH((void)bad->size(), "NotFound: no table x");
+  EXPECT_DEATH((void)(*bad).size(), "NotFound: no table x");
+  const Result<std::vector<int>>& cbad = bad;
+  EXPECT_DEATH((void)cbad->size(), "NotFound: no table x");
+}
+
+TEST(ResultDeathTest, ErrorResultFromOkStatusAborts) {
+  EXPECT_DEATH(Result<int>{Status::OK()}, "Result built from an OK status");
 }
 
 }  // namespace

@@ -163,6 +163,32 @@ TEST(ViewIoTest, TupleValuesRoundTrip) {
             Instances(view, w.domains.get()));
 }
 
+TEST(ViewIoTest, NullConstantsRoundTrip) {
+  // Value() prints as `null`; read back as the string "null" it would
+  // change value across a checkpoint.
+  TestWorld w = TestWorld::Make();
+  Program p;
+  View view;
+  int support = 0;
+  for (const Value& v : {Value(), Value(ValueList{Value(1), Value()})}) {
+    ViewAtom atom;
+    atom.pred = "n";
+    VarId x = p.factory()->Fresh();
+    atom.args = {Term::Var(x)};
+    atom.constraint.Add(Primitive::Eq(Term::Var(x), Term::Const(v)));
+    atom.support = Support(--support);
+    view.Add(atom);
+  }
+
+  View loaded =
+      Unwrap(parser::DeserializeView(parser::SerializeView(view), &p));
+  EXPECT_EQ(testutil::CanonicalState(loaded), testutil::CanonicalState(view));
+  EXPECT_EQ(Instances(loaded, w.domains.get()),
+            Instances(view, w.domains.get()));
+  EXPECT_EQ(Instances(loaded, w.domains.get()),
+            (std::set<std::string>{"n(null)", "n([1, null])"}));
+}
+
 TEST(ViewIoTest, CommentsAndBlanksIgnored) {
   Program p;
   View loaded = Unwrap(parser::DeserializeView(
