@@ -156,7 +156,7 @@ void BM_BulkLoadBurst_Batch(benchmark::State& state) {
            /*pipelined=*/true, &opts);
 }
 
-// The bulk load thread-paired (the parallel-strata engine under the full
+// The bulk load thread-paired (the parallel engine under the full
 // batch pipeline): trailing arg 0 = 1 thread, 1 = every hardware thread;
 // join mode pinned to kIndexed (parallel execution requires the planned
 // executor). The .../0 vs .../1 twins must report identical work-product

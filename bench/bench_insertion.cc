@@ -332,11 +332,11 @@ void BM_Continuation_GuardedChainReversed(benchmark::State& state) {
   ExportCounters(state, fs);
 }
 
-// Eight independent guarded chains — eight head-predicate groups per
-// stratum, the parallel-strata showcase: with T threads each round's
-// chain passes run concurrently against the frozen delta window and merge
-// once per round in clause order. Thread-paired: trailing arg 0 = 1
-// thread (the sequential engine), 1 = every hardware thread; the
+// Eight independent guarded chains — eight clause families that never
+// interleave, the across-clause fan-out showcase: with T threads each
+// round's chain passes run concurrently against the frozen delta window
+// and merge once per round in clause order. Thread-paired: trailing arg
+// 0 = 1 thread (the sequential engine), 1 = every hardware thread; the
 // derived-atom counters must match across the pair byte for byte (CI
 // diffs them). {depth, width, K, threads flag}.
 void BM_Continuation_GuardedMultiChain(benchmark::State& state) {

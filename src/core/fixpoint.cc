@@ -73,11 +73,6 @@ class ClauseRunner {
     sink_ = sink;
   }
 
-  /// \brief Per-declared-body-position candidate / accepted counters of
-  /// the last RunSlice (PlanCache::Feedback input).
-  const std::vector<int64_t>& candidates() const { return cand_; }
-  const std::vector<int64_t>& accepted() const { return acc_; }
-
   // ---- kNaive: the legacy nested-loop join (differential oracle) --------
 
   // Enumerates body-atom combinations for clause c with the standard
@@ -288,7 +283,7 @@ class ClauseRunner {
   };
 
   // Starts one planned slice: records the pass and resets the binding
-  // slots, undo log and feedback counters.
+  // slots and undo log.
   void BeginPass(const Clause& c, const plan::ClausePlan& plan,
                  const PassWindows& windows, size_t pivot, int round) {
     clause_ = &c;
@@ -301,8 +296,6 @@ class ClauseRunner {
     chosen_.assign(n, 0);
     bound_.assign(static_cast<size_t>(plan.num_slots), BoundRef{});
     undo_.clear();
-    cand_.assign(n, 0);
-    acc_.assign(n, 0);
   }
 
   // A ground binding: which chosen instance argument bound the slot. Atom
@@ -428,7 +421,6 @@ class ClauseRunner {
     const std::vector<plan::PlanArg>& pattern = plan_->body[pos];
     size_t undo_mark = undo_.size();
     bool ok = true;
-    cand_[pos]++;
     if (inst.args.size() == pattern.size()) {
       for (size_t k = 0; k < pattern.size() && ok; ++k) {
         const Term& t = inst.args[k];
@@ -450,7 +442,6 @@ class ClauseRunner {
     }
     Status status = Status::OK();
     if (ok) {
-      acc_[pos]++;
       chosen_[pos] = idx;
       status = RecursePlanned(depth + 1);
     } else {
@@ -546,8 +537,6 @@ class ClauseRunner {
   std::vector<size_t> chosen_;       // instance per decl body position
   std::vector<BoundRef> bound_;      // per plan slot
   std::vector<int> undo_;            // bound slots, LIFO
-  std::vector<int64_t> cand_, acc_;  // per decl body position:
-                                     // feedback for the cache
   VarSet var_set_;  // scratch for Derive
   std::vector<Solver::JoinComponent> join_components_;  // scratch for the
                                                         // pre-rename screen
@@ -563,7 +552,6 @@ struct StagedAtom {
 // Everything one fanned-out slice hands back to the round's merge.
 struct SliceOutcome {
   std::vector<StagedAtom> atoms;  ///< enumeration order
-  std::vector<int64_t> cand, acc;
   bool capped = false;  ///< the staging budget cut this pass short
   Status status;
   FixpointStats stats;  ///< pass-local counters (summed at merge)
@@ -650,10 +638,10 @@ class StagingSink : public DeriveSink {
 // derivations with a private solver and staging factory for fresh
 // variables, and one merge replays them into the view in (clause, pivot,
 // shard, enumeration) order — exactly the inline append order — doing
-// dedup, counters and plan feedback on the engine thread. Hence canonical
-// atom sets, support multisets and derivation counters are identical
-// whatever the thread count; only fresh-variable numbering and the call
-// memo's dca_evaluations (each slice's solver keeps its own) are
+// dedup and counters on the engine thread. Hence canonical atom sets,
+// support multisets and derivation counters are identical whatever the
+// thread count; only fresh-variable numbering and the call memo's
+// dca_evaluations (each slice's solver keeps its own) are
 // scheduling-free but not one-thread-identical. Both join strategies run
 // the same Solve; no solve outcome is memoized.
 class Engine {
@@ -789,18 +777,15 @@ class Engine {
   struct Rule {
     size_t clause = 0;  ///< index in program order
     std::shared_ptr<const plan::ClausePlan> plan;  ///< prefetched per round
-    bool runnable = false;  ///< passed PreparePass's screens this round
     PassWindows windows;
-    std::vector<int64_t> cand, acc;  ///< summed slice feedback
   };
 
   Status RunPlannedRound(size_t delta_begin, size_t delta_end, int round) {
     const std::vector<Clause>& clauses = program_.clauses();
     // Slice the round. Plans are prefetched on the engine thread in clause
-    // order: the slices then share the immutable plans read-only, and a
-    // pass keeps a consistent order even if feedback recompiles its
-    // clause. PreparePass is a pure read of the frozen windows, so where
-    // the slices run cannot skew any counter. Fanning out needs the real
+    // order: the slices then share the immutable plans read-only.
+    // PreparePass is a pure read of the frozen windows, so where the
+    // slices run cannot skew any counter. Fanning out needs the real
     // factory well clear of the staging base (staged ids must stay
     // recognizable) and at least two slices; a pivot window that clears
     // the partition threshold splits into shards.
@@ -810,8 +795,9 @@ class Engine {
       Rule& r = rules_[ri];
       const Clause& c = clauses[r.clause];
       r.plan = plans_->PlanFor(program_, c);
-      r.runnable = runner_.PreparePass(c, delta_begin, delta_end, &r.windows);
-      if (!r.runnable) continue;
+      if (!runner_.PreparePass(c, delta_begin, delta_end, &r.windows)) {
+        continue;
+      }
       for (size_t pivot = 0; pivot < c.body.size(); ++pivot) {
         auto [first, last] = r.windows.cut[pivot];
         if (first == last) continue;  // empty delta window
@@ -833,42 +819,16 @@ class Engine {
     if (fan_out) MMV_RETURN_NOT_OK(FanOut(round, &outcomes));
 
     // Consume the slices in list order: inline ones run here, appending
-    // through DirectSink; fanned-out ones merge their staged atoms. Either
-    // way each runnable rule reports the sum of its slices' feedback (a
-    // rule whose windows were all empty reports zeros), and the round
-    // stops at the first error or when the view reaches the atom budget
-    // (Run()'s Capped() finishes the view).
-    size_t si = 0;
-    for (size_t ri = 0; ri < rules_.size(); ++ri) {
-      Rule& r = rules_[ri];
-      if (!r.runnable) continue;
-      const Clause& c = clauses[r.clause];
-      size_t n = c.body.size();
-      r.cand.assign(n, 0);
-      r.acc.assign(n, 0);
-      auto add_feedback = [&r, n](const std::vector<int64_t>& cand,
-                                  const std::vector<int64_t>& acc) {
-        for (size_t pos = 0; pos < n; ++pos) {
-          r.cand[pos] += cand[pos];
-          r.acc[pos] += acc[pos];
-        }
-      };
-      Status status = Status::OK();
-      for (; si < slices_.size() && slices_[si].rule == ri; ++si) {
-        if (fan_out) {
-          SliceOutcome& out = outcomes[si];
-          status = MergeSlice(&out);
-          add_feedback(out.cand, out.acc);
-        } else {
-          status = runner_.RunSlice(c, *r.plan, r.windows, slices_[si].pivot,
-                                    round);
-          add_feedback(runner_.candidates(), runner_.accepted());
-        }
-        if (!status.ok() || direct_sink_.Full()) break;
-      }
-      plans_->Feedback(c.number, r.cand, r.acc);
-      MMV_RETURN_NOT_OK(status);
-      if (direct_sink_.Full()) return Status::OK();
+    // through DirectSink; fanned-out ones merge their staged atoms. The
+    // round stops at the first error or when the view reaches the atom
+    // budget (Run()'s Capped() finishes the view).
+    for (size_t si = 0; si < slices_.size(); ++si) {
+      const RoundSlice& s = slices_[si];
+      const Rule& r = rules_[s.rule];
+      MMV_RETURN_NOT_OK(fan_out ? MergeSlice(&outcomes[si])
+                                : runner_.RunSlice(clauses[r.clause], *r.plan,
+                                                   r.windows, s.pivot, round));
+      if (direct_sink_.Full()) break;
     }
     return Status::OK();
   }
@@ -918,8 +878,6 @@ class Engine {
       out.status = runner.RunSlice(
           clauses[r.clause], *r.plan, r.windows, s.pivot, round,
           s.parts > 1 ? &pools[s.pool] : nullptr, s.begin, s.end);
-      out.cand = runner.candidates();
-      out.acc = runner.accepted();
       out.capped = sink.capped();
       out.solver = solver.stats();
     };

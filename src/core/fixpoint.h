@@ -127,7 +127,8 @@ struct FixpointOptions {
   /// cache through a sequence of continuations / maintenance passes so
   /// each clause compiles once per program instead of once per run; the
   /// cache revalidates against the program's identity on use. When null,
-  /// the engine plans within the single run.
+  /// the engine plans within the single run. Plans are a pure function of
+  /// the clause, so sharing a cache never changes a run's output.
   plan::PlanCache* plan_cache = nullptr;
   /// Solver configuration for T_P solvability checks. solver.fastpath
   /// (default on; $MMV_SOLVER_FASTPATH=off in the benches/tests) gates the

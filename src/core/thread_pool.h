@@ -1,5 +1,5 @@
-// A lazily-grown, process-wide worker pool for the parallel-strata
-// executor (core/fixpoint.cc).
+// A lazily-grown, process-wide worker pool for the parallel fixpoint
+// fan-out (core/fixpoint.cc).
 //
 // Design constraints, in order:
 //   1. Determinism is the CALLER's job: ParallelFor only promises that

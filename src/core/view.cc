@@ -142,14 +142,6 @@ int64_t View::IndexOfSupport(const Support& s) const {
   return -1;
 }
 
-std::vector<std::pair<size_t, size_t>> View::ParentsOfChildSupport(
-    const Support& s) const {
-  std::vector<std::pair<size_t, size_t>> out;
-  ForEachParentOfChild(
-      s, [&](size_t parent, size_t slot) { out.emplace_back(parent, slot); });
-  return out;
-}
-
 void View::MarkAll(bool value) {
   // Deliberately NOT an image-dirtying mutation: marks are StDel-internal
   // scratch state, excluded from image semantics (serialization, queries

@@ -6,7 +6,7 @@
 // shares one access path instead of rebuilding private side-tables:
 //   - a by-predicate posting list (AtomsFor),
 //   - a support hash index (HasSupport / IndexOfSupport, Lemma 1),
-//   - a child-support index (ParentsOfChildSupport — StDel step 3), and
+//   - a child-support index (ForEachParentOfChild — StDel step 3), and
 //   - a per-(predicate, position, ground-value) argument index
 //     (AtomsForArgValue / AtomsForNonConstArg — the fixpoint engine's
 //     indexed-join probe).
@@ -129,15 +129,10 @@ class View {
   /// Supports are unique identities under duplicate semantics (Lemma 1).
   int64_t IndexOfSupport(const Support& s) const;
 
-  /// \brief Atoms whose support has \p s as a direct child, as
-  /// (atom index, child slot) pairs — the StDel step-3 probe. O(k) in the
-  /// number of matches.
-  std::vector<std::pair<size_t, size_t>> ParentsOfChildSupport(
-      const Support& s) const;
-
-  /// \brief Allocation-free variant of ParentsOfChildSupport: calls
-  /// \p visit(atom index, child slot) per match. The visitor may mutate
-  /// atom constraints/marks but must not Add/RemoveIf.
+  /// \brief Visits the atoms whose support has \p s as a direct child —
+  /// the StDel step-3 probe: calls \p visit(atom index, child slot) per
+  /// match, O(k) in the number of matches and allocation-free. The visitor
+  /// may mutate atom constraints/marks but must not Add/RemoveIf.
   template <typename Visitor>
   void ForEachParentOfChild(const Support& s, Visitor visit) const {
     auto [lo, hi] = child_index_.equal_range(s.Hash());

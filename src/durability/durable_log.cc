@@ -315,7 +315,6 @@ Result<std::unique_ptr<DurableLog>> DurableLog::Recover(
   MMV_RETURN_NOT_OK(log->OpenSegment(open_base, open_bytes));
   log->records_since_checkpoint_ =
       info->recovered_epoch - log->last_checkpoint_epoch_;
-  log->bytes_since_checkpoint_ = log->wal_->end_offset();
   log->recovered_view_ = std::move(view);
   return log;
 }
@@ -352,18 +351,13 @@ Status DurableLog::CommitBurst(const SnapshotImageHandle& image,
   }
   ++next_seq_;
   ++records_since_checkpoint_;
-  bytes_since_checkpoint_ += bytes;
   if (stats != nullptr) {
     stats->wal_records += 1;
     stats->wal_bytes += static_cast<int64_t>(bytes);
     stats->wal_syncs += synced ? 1 : 0;
   }
-  const bool checkpoint_due =
-      (options_.checkpoint_every_records > 0 &&
-       records_since_checkpoint_ >= options_.checkpoint_every_records) ||
-      (options_.checkpoint_every_bytes > 0 &&
-       bytes_since_checkpoint_ >= options_.checkpoint_every_bytes);
-  if (checkpoint_due) {
+  if (options_.checkpoint_every_records > 0 &&
+      records_since_checkpoint_ >= options_.checkpoint_every_records) {
     int64_t delta_bytes = 0;
     MMV_RETURN_NOT_OK(
         WriteCheckpoint(image, CheckpointKind::kAuto, &delta_bytes));
@@ -455,7 +449,6 @@ Status DurableLog::WriteCheckpoint(SnapshotImageHandle image,
   last_checkpoint_epoch_ = epoch;
   last_checkpoint_image_ = std::move(image);
   records_since_checkpoint_ = 0;
-  bytes_since_checkpoint_ = 0;
   ++checkpoints_written_;
   if (full) {
     checkpoints_since_full_ = 0;

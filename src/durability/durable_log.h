@@ -81,9 +81,6 @@ struct DurabilityOptions {
   /// Write a checkpoint after this many committed bursts (0 = only on
   /// explicit Checkpoint() calls).
   uint64_t checkpoint_every_records = 0;
-  /// ... or after this many WAL bytes since the last checkpoint (0 = off;
-  /// either trigger suffices).
-  uint64_t checkpoint_every_bytes = 0;
   /// FULL checkpoints retained on disk. Minimum 1; the default 2 keeps one
   /// fall-back image in case the newest is later found corrupt. Delta
   /// checkpoints and WAL segments below the oldest retained full image are
@@ -256,7 +253,6 @@ class DurableLog : public maint::BurstLog {
   int ext_counter_ = 0;
   uint64_t last_checkpoint_epoch_ = 0;
   uint64_t records_since_checkpoint_ = 0;
-  uint64_t bytes_since_checkpoint_ = 0;
   int64_t checkpoints_written_ = 0;
   int64_t delta_checkpoints_written_ = 0;
   uint64_t last_checkpoint_bytes_ = 0;

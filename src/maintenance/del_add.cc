@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "constraint/simplify.h"
 #include "query/enumerate.h"
 
 namespace mmv {
@@ -24,9 +23,8 @@ VarId MaxVar(const TermVec& args, const Constraint& c) {
   return max_id;
 }
 
-// Re-expresses a simplified atom's constraint over the original head
-// argument terms: conjoins orig[k] = simplified_head[k] wherever
-// simplification rewrote a head position.
+}  // namespace
+
 Constraint RebindHead(const TermVec& orig_head, const SimplifiedAtom& s) {
   Constraint c = s.constraint;
   if (c.is_false()) return c;
@@ -37,8 +35,6 @@ Constraint RebindHead(const TermVec& orig_head, const SimplifiedAtom& s) {
   }
   return c;
 }
-
-}  // namespace
 
 VarFactory FreshFactory(const Program& program, const View& view,
                         const UpdateAtom* request) {

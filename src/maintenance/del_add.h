@@ -7,6 +7,7 @@
 
 #include <optional>
 
+#include "constraint/simplify.h"
 #include "constraint/solver.h"
 #include "core/program.h"
 #include "core/view.h"
@@ -105,6 +106,11 @@ std::optional<std::vector<NotBlock>> GroundedNegationBlocks(
 /// constraint untouched) when delta provably denotes no instances.
 bool SubtractDeletedPart(const TermVec& args, const Constraint& delta,
                          DcaEvaluator* evaluator, Constraint* constraint);
+
+/// \brief Re-expresses a simplified atom's constraint over the original
+/// head argument terms: conjoins orig[k] = simplified_head[k] wherever
+/// simplification rewrote a head position. A false constraint stays false.
+Constraint RebindHead(const TermVec& orig_head, const SimplifiedAtom& s);
 
 /// \brief A VarFactory guaranteed fresh w.r.t. \p program, \p view and
 /// \p request.

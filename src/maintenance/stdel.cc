@@ -19,18 +19,6 @@ struct Pair {
   Support spt;
 };
 
-// Re-expresses a simplified constraint over the original head arguments.
-Constraint RebindHead(const TermVec& orig_head, const SimplifiedAtom& s) {
-  Constraint c = s.constraint;
-  if (c.is_false()) return c;
-  for (size_t k = 0; k < orig_head.size() && k < s.head.size(); ++k) {
-    if (!(orig_head[k] == s.head[k])) {
-      c.Add(Primitive::Eq(orig_head[k], s.head[k]));
-    }
-  }
-  return c;
-}
-
 // Step 3's lift: reassembles the derivation of `parent` through `renamed`
 // with the deleted part at `child_slot` and the (current) sibling atoms
 // elsewhere — conditions (a)-(b) — then simplifies and re-expresses the

@@ -65,7 +65,6 @@ struct OrderScratch {
 };
 
 PivotOrder BuildOrder(const ClausePlan& plan, size_t pivot,
-                      const std::vector<double>* accept_ratio,
                       OrderScratch* scratch) {
   size_t n = plan.body.size();
   PivotOrder order;
@@ -83,18 +82,15 @@ PivotOrder BuildOrder(const ClausePlan& plan, size_t pivot,
   placed[pivot] = 1;
   MarkSlots(plan.body[pivot], &bound);
   while (sequence.size() < n) {
+    // Strictly greater: ties keep the lowest declared position.
     size_t best = n;
     int best_score = -1;
-    double best_ratio = 0;
     for (size_t i = 0; i < n; ++i) {
       if (placed[i]) continue;
       int score = GroundScore(plan.body[i], bound);
-      double ratio = accept_ratio != nullptr ? (*accept_ratio)[i] : 1.0;
-      if (best == n || score > best_score ||
-          (score == best_score && ratio < best_ratio)) {
+      if (score > best_score) {
         best = i;
         best_score = score;
-        best_ratio = ratio;
       }
     }
     sequence.push_back(best);
@@ -117,16 +113,15 @@ PivotOrder BuildOrder(const ClausePlan& plan, size_t pivot,
 
 }  // namespace
 
-ClausePlan CompileClause(const Clause& clause,
-                         const std::vector<double>* accept_ratio) {
+ClausePlan CompileClause(const Clause& clause) {
   ClausePlan plan;
   plan.clause_number = clause.number;
   plan.constraint_true = clause.constraint.is_true();
   plan.clause_vars = clause.Variables();
 
   // Slot numbering follows DECLARED body order (then head), so slots are
-  // stable across recompiles with different execution orders — executor
-  // binding state and head assembly never depend on the order chosen.
+  // shared by every pivot's execution order — executor binding state and
+  // head assembly never depend on the order chosen.
   // Clause variable counts are small, so a flat map beats a hash table.
   std::vector<std::pair<VarId, int>> slots;
   slots.reserve(plan.clause_vars.size());
@@ -165,7 +160,7 @@ ClausePlan CompileClause(const Clause& clause,
   OrderScratch scratch;
   plan.orders.reserve(plan.body.size());
   for (size_t pivot = 0; pivot < plan.body.size(); ++pivot) {
-    PivotOrder order = BuildOrder(plan, pivot, accept_ratio, &scratch);
+    PivotOrder order = BuildOrder(plan, pivot, &scratch);
     plan.reordered = plan.reordered || order.reordered;
     plan.orders.push_back(std::move(order));
   }

@@ -11,15 +11,13 @@
 // the engine knows to be small), then greedily the atom with the most
 // statically ground argument positions (clause constants count double: they
 // are ground unconditionally, where a slot bound by an earlier atom is only
-// ground when that instance argument was). Ties break toward the lower
-// observed accept ratio (adaptive feedback from the executor's candidate /
-// accept counters, see PlanCache::Feedback) and then toward declared order.
-// The executor weighs every ground probe position of a step and enumerates
-// the smallest arg-value bucket.
+// ground when that instance argument was). Ties break toward declared
+// order, so a plan is a pure function of its clause. The executor weighs
+// every ground probe position of a step and enumerates the smallest
+// arg-value bucket.
 //
-// Plans are immutable once built and handed out as shared_ptr<const>, so a
-// future parallel-strata executor can share one PlanCache across threads
-// with per-round read-only access.
+// Plans are immutable once built and handed out as shared_ptr<const>; the
+// fixpoint fan-out's slices share them read-only.
 
 #ifndef MMV_PLAN_CLAUSE_PLAN_H_
 #define MMV_PLAN_CLAUSE_PLAN_H_
@@ -78,12 +76,8 @@ struct ClausePlan {
   std::vector<VarId> clause_vars;
 };
 
-/// \brief Compiles \p clause. \p accept_ratio, when non-null,
-/// holds the executor-observed fraction of candidates surviving ground
-/// unification per DECLARED body position (adaptive selectivity; lower =
-/// more selective); it must have one entry per body atom.
-ClausePlan CompileClause(const Clause& clause,
-                         const std::vector<double>* accept_ratio = nullptr);
+/// \brief Compiles \p clause; the plan depends on the clause alone.
+ClausePlan CompileClause(const Clause& clause);
 
 }  // namespace plan
 }  // namespace mmv

@@ -1,8 +1,7 @@
-// Unit tests for the strata subsystem (plan/strata.h): SCC condensation
-// and topological layering of the head-predicate dependency graph, the
-// PlanCache's strata caching, the thread-pool primitive, and the parallel
-// engine's determinism on hand-built programs (the broad randomized
-// differential sweep lives in test_join_differential.cc).
+// Unit tests for the parallel fixpoint machinery: the thread-pool
+// primitive, pivot-window partitioning, and the fan-out engine's
+// determinism on hand-built programs (the broad randomized differential
+// sweep lives in test_join_differential.cc).
 
 #include <gtest/gtest.h>
 
@@ -18,8 +17,6 @@
 #include "core/thread_pool.h"
 #include "maintenance/batch.h"
 #include "plan/partition.h"
-#include "plan/plan_cache.h"
-#include "plan/strata.h"
 #include "test_util.h"
 #include "workload/generators.h"
 
@@ -29,139 +26,6 @@ namespace {
 using testutil::ParseOrDie;
 using testutil::TestWorld;
 using testutil::Unwrap;
-
-// Group membership as "pred,pred" strings per stratum, for readable
-// assertions that ignore nothing.
-std::vector<std::set<std::string>> Layers(const plan::StrataInfo& info) {
-  std::vector<std::set<std::string>> out;
-  for (const plan::Stratum& s : info.strata) {
-    std::set<std::string> groups;
-    for (const plan::PredGroup& g : s.groups) {
-      std::string members;
-      for (size_t i = 0; i < g.preds.size(); ++i) {
-        if (i > 0) members += ',';
-        members += g.preds[i].name();
-      }
-      if (g.recursive) members += '*';
-      groups.insert(members);
-    }
-    out.push_back(std::move(groups));
-  }
-  return out;
-}
-
-TEST(StrataTest, ChainLayersInDependencyOrder) {
-  Program p = ParseOrDie(
-      "p1(X) <- true || p0(X).\n"
-      "p2(X) <- true || p1(X).\n"
-      "p3(X) <- true || p2(X).\n"
-      "p0(X) <- X = 1.\n");
-  plan::StrataInfo info = plan::ComputeStrata(p);
-  EXPECT_EQ(info.group_count, 4u);
-  ASSERT_EQ(info.strata.size(), 4u);
-  EXPECT_EQ(Layers(info), (std::vector<std::set<std::string>>{
-                              {"p0"}, {"p1"}, {"p2"}, {"p3"}}));
-  EXPECT_EQ(info.StratumOf("p0"), 0);
-  EXPECT_EQ(info.StratumOf("p3"), 3);
-  EXPECT_EQ(info.StratumOf("edb_only"), -1);
-}
-
-TEST(StrataTest, DisconnectedPredicatesShareOneStratum) {
-  // a and b never feed each other: both land in stratum 0, two groups —
-  // the parallel executor's independence unit.
-  Program p = ParseOrDie(
-      "a(X) <- true || e1(X).\n"
-      "b(X) <- true || e2(X).\n");
-  plan::StrataInfo info = plan::ComputeStrata(p);
-  ASSERT_EQ(info.strata.size(), 1u);
-  EXPECT_EQ(Layers(info)[0],
-            (std::set<std::string>{"a", "b"}));
-  EXPECT_EQ(info.group_count, 2u);
-}
-
-TEST(StrataTest, SelfLoopIsARecursiveSingletonGroup) {
-  Program p = ParseOrDie(
-      "tc(X, Y) <- true || e(X, Y).\n"
-      "tc(X, Z) <- true || tc(X, Y), e(Y, Z).\n");
-  plan::StrataInfo info = plan::ComputeStrata(p);
-  ASSERT_EQ(info.strata.size(), 1u);
-  EXPECT_EQ(Layers(info)[0], (std::set<std::string>{"tc*"}));
-  const plan::PredGroup& g = info.strata[0].groups[0];
-  EXPECT_TRUE(g.recursive);
-  EXPECT_EQ(g.clauses, (std::vector<size_t>{0, 1}));
-}
-
-TEST(StrataTest, MutualRecursionCollapsesIntoOneGroup) {
-  Program p = ParseOrDie(
-      "even(X) <- true || odd(X).\n"
-      "odd(X) <- true || even(X).\n"
-      "top(X) <- true || even(X).\n");
-  plan::StrataInfo info = plan::ComputeStrata(p);
-  EXPECT_EQ(info.group_count, 2u);
-  ASSERT_EQ(info.strata.size(), 2u);
-  EXPECT_EQ(Layers(info), (std::vector<std::set<std::string>>{
-                              {"even,odd*"}, {"top"}}));
-  EXPECT_EQ(info.StratumOf("even"), info.StratumOf("odd"));
-}
-
-TEST(StrataTest, DiamondDependenciesLayerByLongestPath) {
-  Program p = ParseOrDie(
-      "b(X) <- true || a(X).\n"
-      "c(X) <- true || a(X).\n"
-      "d(X) <- true || b(X), c(X).\n"
-      "a(X) <- X = 1.\n");
-  plan::StrataInfo info = plan::ComputeStrata(p);
-  ASSERT_EQ(info.strata.size(), 3u);
-  EXPECT_EQ(Layers(info), (std::vector<std::set<std::string>>{
-                              {"a"}, {"b", "c"}, {"d"}}));
-}
-
-TEST(StrataTest, FactsOnlyProgramIsOneStratumOfLeaves) {
-  Program p = ParseOrDie("f(X) <- X = 1.\ng(X) <- X = 2.\n");
-  plan::StrataInfo info = plan::ComputeStrata(p);
-  ASSERT_EQ(info.strata.size(), 1u);
-  EXPECT_EQ(info.group_count, 2u);
-  EXPECT_TRUE(plan::ComputeStrata(Program()).strata.empty());
-}
-
-TEST(StrataTest, DeterministicAcrossRecomputation) {
-  Rng rng(11);
-  workload::RandomProgramOptions o;
-  o.base_preds = 3;
-  o.derived_preds = 4;
-  Program p = workload::MakeRandomProgram(&rng, o);
-  EXPECT_EQ(plan::ComputeStrata(p).ToString(),
-            plan::ComputeStrata(p).ToString());
-}
-
-TEST(StrataTest, PlanCacheCachesAndInvalidatesStrata) {
-  Program p = ParseOrDie(
-      "b(X) <- true || a(X).\n"
-      "a(X) <- X = 1.\n");
-  plan::PlanCache cache;
-  std::shared_ptr<const plan::StrataInfo> first = cache.StrataFor(p);
-  EXPECT_EQ(first.get(), cache.StrataFor(p).get());  // cached
-
-  // Appending a clause keeps the program identity but must rebuild the
-  // strata: the dependency graph changed.
-  {
-    Clause c;
-    c.head_pred = "c";
-    VarId x = p.factory()->Fresh();
-    c.head_args = {Term::Var(x)};
-    c.body.push_back(BodyAtom{"b", {Term::Var(x)}});
-    p.AddClause(std::move(c));
-  }
-  std::shared_ptr<const plan::StrataInfo> grown = cache.StrataFor(p);
-  EXPECT_NE(first.get(), grown.get());
-  EXPECT_EQ(grown->strata.size(), 3u);
-
-  // A copied program is a different identity: the cache flushes.
-  Program copy = p;
-  std::shared_ptr<const plan::StrataInfo> other = cache.StrataFor(copy);
-  EXPECT_NE(grown.get(), other.get());
-  EXPECT_EQ(other->ToString(), grown->ToString());
-}
 
 // ---- thread pool ----------------------------------------------------------
 
@@ -258,7 +122,7 @@ std::multiset<std::string> Sups(const View& v) {
   return out;
 }
 
-TEST(ParallelStrataTest, GuardedMultiChainMatchesSequentialByteForByte) {
+TEST(ParallelFanOutTest, GuardedMultiChainMatchesSequentialByteForByte) {
   TestWorld w = TestWorld::Make();
   Program p = workload::MakeGuardedMultiChain(/*chains=*/4, /*depth=*/4,
                                               /*width=*/5);
@@ -295,9 +159,8 @@ TEST(ParallelStrataTest, GuardedMultiChainMatchesSequentialByteForByte) {
 
 // Transitive closure over \p edges with a DCA guard on the recursive
 // clause — in(S, arith:plus(X,Y)) — so every recursive derivation pays a
-// real domain evaluation. One recursive predicate means ONE SCC: the
-// strata axis offers no parallelism at all, and any fan-out comes from
-// intra-SCC delta partitioning.
+// real domain evaluation. One recursive predicate means ONE SCC: any
+// fan-out comes from sharding the recursive clause's delta window.
 Program MakeGuardedTc(const std::vector<std::pair<int, int>>& edges) {
   Program p;
   for (const auto& [from, to] : edges) {
@@ -338,7 +201,7 @@ Program MakeGuardedTc(const std::vector<std::pair<int, int>>& edges) {
 // Byte-identity for both semantics on a single-SCC recursive chain: many
 // small rounds where the per-(clause, pivot) slices carry all of the
 // parallelism (the windows stay below the partition threshold).
-TEST(ParallelStrataTest, SingleSccGuardedTcMatchesSequentialByteForByte) {
+TEST(ParallelFanOutTest, SingleSccGuardedTcMatchesSequentialByteForByte) {
   TestWorld w = TestWorld::Make();
   std::vector<std::pair<int, int>> edges;
   for (int i = 0; i + 1 < 20; ++i) edges.push_back({i, i + 1});
@@ -375,7 +238,7 @@ TEST(ParallelStrataTest, SingleSccGuardedTcMatchesSequentialByteForByte) {
 // way — and the guarded derivations hit the shared evaluator from several
 // workers at once (the TSan job's quarry). The merged view must still be
 // byte-identical to the sequential run, supports and positions included.
-TEST(ParallelStrataTest, ShardedSingleSccStarMatchesSequentialByteForByte) {
+TEST(ParallelFanOutTest, ShardedSingleSccStarMatchesSequentialByteForByte) {
   TestWorld w = TestWorld::Make();
   std::vector<std::pair<int, int>> edges;
   for (int j = 2; j <= 301; ++j) edges.push_back({j, 0});
@@ -412,7 +275,7 @@ TEST(ParallelStrataTest, ShardedSingleSccStarMatchesSequentialByteForByte) {
 // caps on the deduped view size) would still reach. Such runs must report
 // truncated=true — silently returning an incomplete view as complete is
 // the one way the parallel engine could lie.
-TEST(ParallelStrataTest, StagingBudgetCutoffIsFlaggedTruncated) {
+TEST(ParallelFanOutTest, StagingBudgetCutoffIsFlaggedTruncated) {
   TestWorld w = TestWorld::Make();
   std::ostringstream os;
   for (int i = 0; i < 10; ++i) os << "a(X) <- X = " << i << ".\n";
@@ -436,7 +299,7 @@ TEST(ParallelStrataTest, StagingBudgetCutoffIsFlaggedTruncated) {
   EXPECT_LT(v.size(), 25u);
 }
 
-TEST(ParallelStrataTest, NaiveJoinModeIgnoresThreadCount) {
+TEST(ParallelFanOutTest, NaiveJoinModeIgnoresThreadCount) {
   TestWorld w = TestWorld::Make();
   Program p = workload::MakeGuardedChain(3, 4);
   FixpointOptions opts;
@@ -455,7 +318,7 @@ TEST(ParallelStrataTest, NaiveJoinModeIgnoresThreadCount) {
 // identical view (and identical propagation counters) whatever
 // num_threads says. Delete passes run StDel on the engine thread, so
 // nothing is sharded at 8 threads either.
-TEST(ParallelStrataTest, ParallelStepThreeMatchesSequential) {
+TEST(ParallelFanOutTest, ParallelStepThreeMatchesSequential) {
   TestWorld w = TestWorld::Make();
   for (uint64_t seed = 100; seed < 110; ++seed) {
     Rng rng(seed);
@@ -525,7 +388,7 @@ class CountingEvaluator : public DcaEvaluator {
 // StDel pass always does): nothing is partitioned, no worker touches the
 // evaluator, and atoms, supports, work-product counters — and the
 // evaluator's own call count — equal the 1-thread run.
-TEST(ParallelStrataTest, NonReadSafeEvaluatorRunsOnOneThread) {
+TEST(ParallelFanOutTest, NonReadSafeEvaluatorRunsOnOneThread) {
   TestWorld w = TestWorld::Make();
   std::vector<std::pair<int, int>> edges;
   for (int j = 2; j <= 301; ++j) edges.push_back({j, 0});
@@ -602,7 +465,7 @@ TEST(ParallelStrataTest, NonReadSafeEvaluatorRunsOnOneThread) {
 
 // ---- option plumbing ------------------------------------------------------
 
-TEST(ParallelStrataTest, ParseThreadsFailsLoudly) {
+TEST(ParallelFanOutTest, ParseThreadsFailsLoudly) {
   EXPECT_EQ(*ParseThreads("1"), 1);
   EXPECT_EQ(*ParseThreads("8"), 8);
   EXPECT_EQ(*ParseThreads("4096"), 4096);
@@ -615,7 +478,7 @@ TEST(ParallelStrataTest, ParseThreadsFailsLoudly) {
   }
 }
 
-TEST(ParallelStrataTest, ThreadsFromEnvDefaultsToSequential) {
+TEST(ParallelFanOutTest, ThreadsFromEnvDefaultsToSequential) {
   if (std::getenv("MMV_THREADS") == nullptr) {
     EXPECT_EQ(*ThreadsFromEnv(), 1);
   } else {

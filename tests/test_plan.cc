@@ -1,13 +1,17 @@
 // Unit tests for the clause-plan compilation layer: the cost model's
 // ordering on hand-built clauses, plan-cache lifetime (program-identity
-// invalidation, adaptive recompiles), the evaluator's state epoch, and
-// the loud-failure engine-option parsing.
+// invalidation, plans as a pure function of the clause), the evaluator's
+// state epoch, and the loud-failure engine-option parsing.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "maintenance/batch.h"
+#include "parser/view_io.h"
 #include "plan/plan_cache.h"
 #include "test_util.h"
 #include "workload/generators.h"
@@ -124,43 +128,6 @@ TEST(PlanCacheTest, FlushesWhenHandedADifferentProgram) {
   EXPECT_EQ(cache.stats().cache_hits, 1);
 }
 
-TEST(PlanCacheTest, AdaptiveFeedbackRefinesTieBreaks) {
-  // h(X) <- a(X), b(X), c(X): after the pivot a, b and c tie statically.
-  // Observed selectivity (c accepts 1% of candidates, b accepts all) must
-  // flip the tie toward c once enough evidence accumulates.
-  Program p = ParseOrDie("h(X) <- true || a(X), b(X), c(X).");
-  const Clause& c = p.clauses()[0];
-  plan::PlanCache cache;
-  auto before = cache.PlanFor(p, c);
-  EXPECT_EQ(Order(*before, 0), (std::vector<int>{0, 1, 2}));
-
-  cache.Feedback(c.number, {1000, 1000, 1000}, {1000, 1000, 10});
-  auto after = cache.PlanFor(p, c);
-  EXPECT_EQ(cache.stats().refinements, 1);
-  EXPECT_EQ(Order(*after, 0), (std::vector<int>{0, 2, 1}));
-  // The handed-out old plan stays alive and unchanged (immutability).
-  EXPECT_EQ(Order(*before, 0), (std::vector<int>{0, 1, 2}));
-  // Below the evidence threshold nothing recompiles.
-  auto again = cache.PlanFor(p, c);
-  EXPECT_EQ(again.get(), after.get());
-}
-
-TEST(PlanCacheTest, UnchangedRecompilesBackOff) {
-  // A recompile that changes nothing must raise the clause's evidence
-  // threshold — settled clauses stop paying for recompiles.
-  Program p = ParseOrDie("h(X) <- true || a(X), b(X).");
-  const Clause& c = p.clauses()[0];
-  plan::PlanCache cache;
-  cache.PlanFor(p, c);
-  cache.Feedback(c.number, {500, 500}, {500, 500});  // >= 256: dirty
-  cache.PlanFor(p, c);  // recompile, order unchanged -> threshold x4
-  EXPECT_EQ(cache.stats().refinements, 0);
-  int64_t compiles = cache.stats().compiles;
-  cache.Feedback(c.number, {500, 500}, {500, 500});  // 500 < 1024: settled
-  cache.PlanFor(p, c);
-  EXPECT_EQ(cache.stats().compiles, compiles);
-}
-
 // ---- engine integration ---------------------------------------------------
 
 // A shared plan cache threaded through FixpointOptions survives across
@@ -180,6 +147,65 @@ TEST(PlanCacheTest, SharedAcrossEngineRuns) {
   EXPECT_EQ(shared.stats().compiles, compiles_after_first)
       << "second run must not recompile";
   EXPECT_GT(second.plan_cache_hits, first.plan_cache_hits);
+}
+
+// A 3-body-atom rule whose non-pivot atoms tie statically: after the
+// pivot a(X), both b(X, Y) and c(X, Y) score one bound slot, so the
+// declared order (b before c) decides. The two orders reach h(x) through
+// different first derivations — b's facts list Y ascending, c's
+// descending — so under set semantics, which keeps the first derivation
+// as the representative support, the serialized view shows which order
+// ran. c rejects most of its probed candidates while b accepts all of
+// them, so any order learned from execution would put c first.
+std::string TiedJoinProgram(int n) {
+  std::string text = "h(X) <- true || a(X), b(X, Y), c(X, Y).\n";
+  for (int x = 0; x < n; ++x) {
+    std::string sx = std::to_string(x);
+    text += "a(" + sx + ").\n";
+    for (int y = 0; y < n; ++y) {
+      text += "b(" + sx + ", " + std::to_string(y) + ").\n";
+    }
+    for (int y = n - 1; y >= 0; --y) {
+      text += "c(" + sx + ", " + std::to_string(y) + ").\n";
+    }
+  }
+  return text;
+}
+
+// Plans are a pure function of the clause: materializations sharing one
+// cache — enough candidates to pass any feedback threshold — serialize
+// byte-identically to a fresh-cache run, and the cached plan keeps the
+// orders CompileClause gives the clause alone.
+TEST(PlanCacheTest, SharedCacheNeverChangesSetSemanticsOutput) {
+  TestWorld w = TestWorld::Make();
+  Program p = ParseOrDie(TiedJoinProgram(8));
+  FixpointOptions opts;
+  opts.semantics = DupSemantics::kSet;
+  FixpointStats fresh_stats;
+  std::string fresh = parser::SerializeView(
+      Unwrap(Materialize(p, w.domains.get(), opts, &fresh_stats)));
+  ASSERT_EQ(fresh_stats.atoms_created, 8 + 2 * 64 + 8);
+
+  plan::PlanCache shared;
+  opts.plan_cache = &shared;
+  for (int run = 0; run < 4; ++run) {
+    View v = Unwrap(Materialize(p, w.domains.get(), opts));
+    EXPECT_EQ(parser::SerializeView(v), fresh) << "shared-cache run " << run;
+  }
+  EXPECT_EQ(shared.stats().compiles, 1);
+
+  const Clause& rule = p.clauses()[0];
+  std::shared_ptr<const plan::ClausePlan> cached = shared.PlanFor(p, rule);
+  plan::ClausePlan compiled = plan::CompileClause(rule);
+  ASSERT_EQ(cached->orders.size(), compiled.orders.size());
+  for (size_t pivot = 0; pivot < compiled.orders.size(); ++pivot) {
+    EXPECT_EQ(Order(*cached, pivot), Order(compiled, pivot)) << pivot;
+    for (size_t i = 0; i < compiled.order(pivot).steps.size(); ++i) {
+      EXPECT_EQ(cached->order(pivot).steps[i].probe_positions,
+                compiled.order(pivot).steps[i].probe_positions);
+    }
+  }
+  EXPECT_EQ(Order(compiled, 0), (std::vector<int>{0, 1, 2}));
 }
 
 // ---- evaluator state epoch -----------------------------------------------

@@ -143,7 +143,10 @@ void CheckAgainstOracle(const View& v, Rng* rng) {
     } else {
       EXPECT_EQ(ScanIndexOfSupport(v, s), -1) << s.ToString();
     }
-    auto indexed = v.ParentsOfChildSupport(s);
+    std::vector<std::pair<size_t, size_t>> indexed;
+    v.ForEachParentOfChild(s, [&](size_t parent, size_t slot) {
+      indexed.emplace_back(parent, slot);
+    });
     auto scanned = ScanParentsOfChildSupport(v, s);
     std::sort(indexed.begin(), indexed.end());
     std::sort(scanned.begin(), scanned.end());
