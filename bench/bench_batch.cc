@@ -16,6 +16,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/rng.h"
 #include "core/snapshot.h"
 #include "maintenance/batch.h"
 #include "parser/view_io.h"
@@ -303,6 +304,74 @@ void BM_CancellingBurst_Sequential(benchmark::State& state) {
            /*pipelined=*/false);
 }
 
+// Point reads on the live view of a transitive closure over `chains`
+// chains of 24 nodes (276 path atoms per chain): 64 Ask path(a, b) per
+// iteration, mostly within one chain. Mode 1 is query::Ask, which probes
+// the view's (pred, pos, value) index and stops at the first instance;
+// mode 0 is the scan it replaced, restricting and enumerating a copy of
+// every path atom. Growing the view 4x should leave mode 1 flat and slow
+// mode 0 about 4x. {chains, mode}.
+void BM_LiveAsk_TransitiveClosure(benchmark::State& state) {
+  constexpr int kNodes = 24;
+  constexpr int kAsks = 64;
+  const int chains = static_cast<int>(state.range(0));
+  const bool probe = state.range(1) == 1;
+  std::vector<std::pair<int, int>> edges;
+  for (int c = 0; c < chains; ++c) {
+    for (int i = 0; i + 1 < kNodes; ++i) {
+      edges.push_back({c * kNodes + i, c * kNodes + i + 1});
+    }
+  }
+  World w = World::Make();
+  Program p = workload::MakeTransitiveClosure(edges);
+  View view = MustMaterialize(p, w.domains.get(), DefaultOptions());
+  const Symbol path("path");
+  Rng rng(17);
+  std::vector<std::vector<Value>> asks;
+  for (int i = 0; i < kAsks; ++i) {
+    int64_t c = rng.Int(0, chains - 1);
+    int64_t a = c * kNodes + rng.Int(0, kNodes - 1);
+    int64_t b = rng.Chance(0.9) ? c * kNodes + rng.Int(0, kNodes - 1)
+                                : rng.Int(0, chains * kNodes - 1);
+    asks.push_back({Value(a), Value(b)});
+  }
+  auto scan_ask = [&](const std::vector<Value>& values) {
+    Solver solver(w.domains.get());
+    bool found = false;
+    for (size_t i : view.AtomsFor(path)) {
+      ViewAtom restricted = view.atoms()[i];
+      if (restricted.args.size() != values.size()) continue;
+      for (size_t k = 0; k < values.size(); ++k) {
+        restricted.constraint.Add(Primitive::Eq(
+            view.atoms()[i].args[k], Term::Const(values[k])));
+      }
+      Result<query::InstanceSet> one =
+          query::EnumerateAtomWith(restricted, &solver, {});
+      if (!one.ok()) std::abort();
+      found = found || !one->instances.empty();
+    }
+    return found;
+  };
+  int64_t asks_true = 0;
+  for (auto _ : state) {
+    asks_true = 0;
+    for (const std::vector<Value>& values : asks) {
+      bool found;
+      if (probe) {
+        Result<bool> r = query::Ask(view, path, values, w.domains.get());
+        if (!r.ok()) std::abort();
+        found = *r;
+      } else {
+        found = scan_ask(values);
+      }
+      asks_true += found ? 1 : 0;
+    }
+    benchmark::DoNotOptimize(asks_true);
+  }
+  state.counters["view_atoms"] = static_cast<double>(view.size());
+  state.counters["asks_true"] = static_cast<double>(asks_true);
+}
+
 void BurstArgs(benchmark::internal::Benchmark* b) {
   // {chain depth, burst size K}
   b->Args({4, 8})
@@ -350,6 +419,12 @@ BENCHMARK(BM_SnapshotPublish)
     ->Args({0, 256, 64})
     ->Args({1, 256, 64})
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LiveAsk_TransitiveClosure)
+    ->Args({4, 0})
+    ->Args({4, 1})
+    ->Args({16, 0})
+    ->Args({16, 1})
+    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_BulkLoadBurst_Batch)->Apply(BulkLoadArgs);
 BENCHMARK(BM_BulkLoadBurst_BatchThreads)->Apply(BulkLoadThreadArgs);
 

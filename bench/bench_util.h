@@ -145,6 +145,7 @@ inline const CounterInfo kBenchCounters[] = {
     {"replay_added", CounterClass::kWork},      // atoms those bursts added
     {"checkpoint_epoch", CounterClass::kWork},  // recovery's checkpoint
     {"atoms_added", CounterClass::kWork},  // atoms a run added (size diff)
+    {"asks_true", CounterClass::kWork},    // point reads answered true
 };
 
 /// \brief The declared class of sidecar counter \p name: a stats-table

@@ -139,7 +139,10 @@ std::ostream& operator<<(std::ostream& os, const Value& v) {
       return os << v.as_int();
     case ValueKind::kDouble: {
       double d = v.as_double();
-      if (!std::isfinite(d)) return os << d;
+      // Non-finite doubles print as the words the parser reads back as
+      // doubles: every NaN as `nan` (sign and payload are dropped).
+      if (std::isnan(d)) return os << "nan";
+      if (std::isinf(d)) return os << (d < 0 ? "-inf" : "inf");
       // The shortest text that reads back to the same bits. Text with no
       // '.' or exponent (2, -0) gets ".0" so it lexes as a double again.
       char buf[32];

@@ -22,6 +22,7 @@ class VarNames {
   std::string NameOf(VarId id) const;
 
   bool empty() const { return names_.empty(); }
+  size_t size() const { return names_.size(); }
 
  private:
   std::unordered_map<VarId, std::string> names_;

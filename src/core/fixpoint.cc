@@ -259,28 +259,13 @@ class ClauseRunner {
   }
 
  private:
-  // Where one planned step's candidates come from: the merged windows of
-  // an arg-value bucket and its position's variable-argument atoms (a
-  // variable instance argument unifies with any value), or — when no
-  // probe position is ground — the body position's posting-list window
-  // (vars null, its window empty). Next() yields ascending atom indices,
-  // the oracle's enumeration order.
-  struct Candidates {
-    const std::vector<size_t>* hits = nullptr;
-    const std::vector<size_t>* vars = nullptr;
-    size_t i = 0, i_end = 0, j = 0, j_end = 0;
-
-    size_t size() const { return (i_end - i) + (j_end - j); }
-    bool Next(size_t* idx) {
-      if (i < i_end && (j >= j_end || (*hits)[i] < (*vars)[j])) {
-        *idx = (*hits)[i++];
-        return true;
-      }
-      if (j >= j_end) return false;
-      *idx = (*vars)[j++];
-      return true;
-    }
-  };
+  // Where one planned step's candidates come from: the windowed
+  // View::CandidatesAt merge of an arg-value bucket and its position's
+  // variable-argument atoms (a variable instance argument unifies with any
+  // value), or — when no probe position is ground — the body position's
+  // posting-list window. Next() yields ascending atom indices, the
+  // oracle's enumeration order.
+  using Candidates = View::Candidates;
 
   // Starts one planned slice: records the pass and resets the binding
   // slots and undo log.
@@ -380,14 +365,8 @@ class ClauseRunner {
         continue;
       }
       ++ground_positions;
-      const std::vector<size_t>& h = view_.AtomsForArgValue(pred, k, *v);
-      const std::vector<size_t>& vars = view_.AtomsForNonConstArg(pred, k);
-      Candidates probe{&h,
-                       &vars,
-                       LowerBoundPos(h, lo_limit),
-                       LowerBoundPos(h, hi_limit),
-                       LowerBoundPos(vars, lo_limit),
-                       LowerBoundPos(vars, hi_limit)};
+      Candidates probe =
+          view_.CandidatesAt(pred, k, *v).Within(lo_limit, hi_limit);
       if (ground_positions == 1 || probe.size() < best.size()) best = probe;
     }
     if (ground_positions >= 2) stats_->probe_intersections++;
@@ -395,11 +374,10 @@ class ClauseRunner {
       stats_->index_probes++;
       return best;
     }
-    Candidates window;
-    window.hits = w.lists[pos];
-    window.i = pos == pivot_ ? w.cut[pos].first : 0;
-    window.i_end = pos < pivot_ ? w.cut[pos].first : w.cut[pos].second;
-    return window;
+    return Candidates{w.lists[pos], nullptr,
+                      pos == pivot_ ? w.cut[pos].first : 0,
+                      pos < pivot_ ? w.cut[pos].first : w.cut[pos].second,
+                      0, 0};
   }
 
   Status RecursePlanned(size_t depth) {
@@ -676,6 +654,7 @@ class Engine {
       if (clauses[ci].IsFact()) continue;
       rules_.emplace_back();
       rules_.back().clause = ci;
+      if (indexed_) rules_.back().plan = plans_->PlanFor(program, clauses[ci]);
     }
   }
 
@@ -776,14 +755,14 @@ class Engine {
   // walks the program's facts.
   struct Rule {
     size_t clause = 0;  ///< index in program order
-    std::shared_ptr<const plan::ClausePlan> plan;  ///< prefetched per round
+    std::shared_ptr<const plan::ClausePlan> plan;  ///< fetched once per run
     PassWindows windows;
   };
 
   Status RunPlannedRound(size_t delta_begin, size_t delta_end, int round) {
     const std::vector<Clause>& clauses = program_.clauses();
-    // Slice the round. Plans are prefetched on the engine thread in clause
-    // order: the slices then share the immutable plans read-only.
+    // Slice the round. Plans were fetched once, on the engine thread, when
+    // rules_ was built: the slices share the immutable plans read-only.
     // PreparePass is a pure read of the frozen windows, so where the
     // slices run cannot skew any counter. Fanning out needs the real
     // factory well clear of the staging base (staged ids must stay
@@ -794,7 +773,6 @@ class Engine {
     for (size_t ri = 0; ri < rules_.size(); ++ri) {
       Rule& r = rules_[ri];
       const Clause& c = clauses[r.clause];
-      r.plan = plans_->PlanFor(program_, c);
       if (!runner_.PreparePass(c, delta_begin, delta_end, &r.windows)) {
         continue;
       }

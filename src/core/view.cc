@@ -128,6 +128,55 @@ const std::vector<size_t>& View::AtomsForNonConstArg(Symbol pred,
   return it == by_arg_var_.end() ? kEmptyPostings : it->second;
 }
 
+View::Candidates View::Candidates::Within(size_t lo, size_t hi) const {
+  auto pos_of = [](const std::vector<size_t>* list, size_t from, size_t to,
+                   size_t limit) {
+    if (list == nullptr) return from;
+    return static_cast<size_t>(
+        std::lower_bound(list->begin() + static_cast<ptrdiff_t>(from),
+                         list->begin() + static_cast<ptrdiff_t>(to), limit) -
+        list->begin());
+  };
+  Candidates out = *this;
+  out.i = pos_of(hits, i, i_end, lo);
+  out.i_end = std::max(out.i, pos_of(hits, i, i_end, hi));
+  out.j = pos_of(vars, j, j_end, lo);
+  out.j_end = std::max(out.j, pos_of(vars, j, j_end, hi));
+  return out;
+}
+
+View::Candidates View::CandidatesAt(Symbol pred, size_t pos,
+                                    const Value& v) const {
+  const std::vector<size_t>& hits = AtomsForArgValue(pred, pos, v);
+  const std::vector<size_t>& vars = AtomsForNonConstArg(pred, pos);
+  return Candidates{&hits, &vars, 0, hits.size(), 0, vars.size()};
+}
+
+View::Candidates View::Probe(Symbol pred, const TermVec& args) const {
+  Candidates best;
+  bool ground = false;
+  for (size_t k = 0; k < args.size(); ++k) {
+    if (!args[k].is_const()) continue;
+    Candidates probe = CandidatesAt(pred, k, args[k].constant());
+    if (!ground || probe.size() < best.size()) best = probe;
+    ground = true;
+  }
+  if (ground) return best;
+  const std::vector<size_t>& all = AtomsFor(pred);
+  return Candidates{&all, nullptr, 0, all.size(), 0, 0};
+}
+
+bool View::ConstantsClash(const TermVec& atom_args, const TermVec& args) {
+  if (atom_args.size() != args.size()) return true;
+  for (size_t k = 0; k < args.size(); ++k) {
+    if (atom_args[k].is_const() && args[k].is_const() &&
+        !(atom_args[k].constant() == args[k].constant())) {
+      return true;
+    }
+  }
+  return false;
+}
+
 bool View::HasSupport(const Support& s) const {
   return IndexOfSupport(s) >= 0;
 }

@@ -8,8 +8,9 @@
 //   - a support hash index (HasSupport / IndexOfSupport, Lemma 1),
 //   - a child-support index (ForEachParentOfChild — StDel step 3), and
 //   - a per-(predicate, position, ground-value) argument index
-//     (AtomsForArgValue / AtomsForNonConstArg — the fixpoint engine's
-//     indexed-join probe).
+//     (AtomsForArgValue / AtomsForNonConstArg), read through one probe
+//     primitive (CandidatesAt / Probe) by the fixpoint engine's indexed
+//     join, live QueryPred / Ask and the Del / Add builders.
 // Add updates all of them in O(|support| + arity); RemoveIf recompacts them
 // in the same pass that compacts the atom vector.
 
@@ -110,7 +111,8 @@ class View {
   /// int/double, exactly the equality the simplifier applies to ground `=`
   /// primitives) — and buckets are keyed by hash alone, so the list may
   /// rarely include colliding atoms whose argument differs: callers must
-  /// re-verify the argument per candidate (the indexed join does anyway).
+  /// re-verify the argument per candidate (see ConstantsClash). Read
+  /// through CandidatesAt / Probe, never on its own.
   const std::vector<size_t>& AtomsForArgValue(Symbol pred, size_t pos,
                                               const Value& v) const;
 
@@ -121,6 +123,55 @@ class View {
   /// <= \p pos appear in neither list.
   const std::vector<size_t>& AtomsForNonConstArg(Symbol pred,
                                                  size_t pos) const;
+
+  /// \brief A lazy ascending merge of up to two disjoint posting-list
+  /// windows — the one probe primitive over the argument index.
+  ///
+  /// Next() yields ascending atom indices, so a consumer enumerates its
+  /// candidates in the same order a scan of AtomsFor would visit them.
+  /// Holds pointers to the index's lists plus positions, never iterators:
+  /// appends past the window (a fixpoint round deriving into the probed
+  /// view) leave it valid. Copyable; Next() advances the copy it is
+  /// called on.
+  struct Candidates {
+    const std::vector<size_t>* hits = nullptr;
+    const std::vector<size_t>* vars = nullptr;
+    size_t i = 0, i_end = 0, j = 0, j_end = 0;
+
+    size_t size() const { return (i_end - i) + (j_end - j); }
+    bool Next(size_t* idx) {
+      if (i < i_end && (j >= j_end || (*hits)[i] < (*vars)[j])) {
+        *idx = (*hits)[i++];
+        return true;
+      }
+      if (j >= j_end) return false;
+      *idx = (*vars)[j++];
+      return true;
+    }
+    /// The candidates whose atom index lies in [lo, hi) (a seminaive
+    /// window), in O(log n).
+    Candidates Within(size_t lo, size_t hi) const;
+  };
+
+  /// \brief The atoms of \p pred that can match ground value \p v at
+  /// \p pos: the (pred, pos, v) bucket merged with the position's
+  /// non-constant list. O(1) to build; a superset of the matches (hash
+  /// collisions, other arities), so consumers re-verify per candidate.
+  Candidates CandidatesAt(Symbol pred, size_t pos, const Value& v) const;
+
+  /// \brief The smallest CandidatesAt over the constant positions of
+  /// \p args, or every atom of \p pred (AtomsFor) when no position is
+  /// constant. The contract: every atom of \p pred with args.size()
+  /// arguments that does not ConstantsClash with \p args is yielded, in
+  /// ascending order. Cost O(constant positions); enumerating it costs
+  /// O(candidates), not O(atoms of pred).
+  Candidates Probe(Symbol pred, const TermVec& args) const;
+
+  /// \brief True when \p atom_args cannot be an instance of \p args on
+  /// constants alone: the arities differ, or some position holds
+  /// constants on both sides that differ by Value::operator==. Every
+  /// Probe consumer calls this before it copies a candidate.
+  static bool ConstantsClash(const TermVec& atom_args, const TermVec& args);
 
   /// \brief True iff some atom has exactly this support. O(1) expected.
   bool HasSupport(const Support& s) const;

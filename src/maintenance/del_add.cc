@@ -66,19 +66,23 @@ Result<std::vector<DelElement>> BuildDel(const View& view,
   factory.ReserveAbove(view.MaxVarId());
   factory.ReserveAbove(MaxVar(request.args, request.constraint));
 
-  for (size_t i : view.AtomsFor(request.pred)) {
+  std::vector<VarId> req_vars;
+  CollectVars(request.args, &req_vars);
+  for (VarId v : request.constraint.Variables()) {
+    if (std::find(req_vars.begin(), req_vars.end(), v) == req_vars.end()) {
+      req_vars.push_back(v);
+    }
+  }
+  // Probe with the request's simplified head: an atom whose constant at
+  // position k differs from the head's constant there has an overlap that
+  // simplifies to false, so the probe may skip it.
+  SimplifiedAtom head = SimplifyAtom(request.args, request.constraint);
+  if (head.constraint.is_false()) return del;
+  View::Candidates candidates = view.Probe(request.pred, head.head);
+  for (size_t i; candidates.Next(&i);) {
     const ViewAtom& atom = view.atoms()[i];
-    if (atom.args.size() != request.args.size()) {
-      continue;
-    }
+    if (View::ConstantsClash(atom.args, head.head)) continue;
     // Standardize the request apart from the atom.
-    std::vector<VarId> req_vars;
-    CollectVars(request.args, &req_vars);
-    for (VarId v : request.constraint.Variables()) {
-      if (std::find(req_vars.begin(), req_vars.end(), v) == req_vars.end()) {
-        req_vars.push_back(v);
-      }
-    }
     Substitution renaming = FreshRenaming(req_vars, &factory);
     TermVec req_args = renaming.Apply(request.args);
     Constraint overlap = atom.constraint;
@@ -145,12 +149,16 @@ Result<std::vector<ViewAtom>> BuildAdd(const View& view,
   factory.ReserveAbove(view.MaxVarId());
   factory.ReserveAbove(MaxVar(request.args, request.constraint));
 
+  // Probe with the request's simplified head: an atom whose constant at
+  // position k differs from the head's constant there yields a not-block
+  // whose body simplifies to false, which the final SimplifyAtom drops.
+  SimplifiedAtom head = SimplifyAtom(request.args, request.constraint);
+  if (head.constraint.is_false()) return std::vector<ViewAtom>{};
   Constraint add_constraint = request.constraint;
-  for (size_t i : view.AtomsFor(request.pred)) {
+  View::Candidates candidates = view.Probe(request.pred, head.head);
+  for (size_t i; candidates.Next(&i);) {
     const ViewAtom& atom = view.atoms()[i];
-    if (atom.args.size() != request.args.size()) {
-      continue;
-    }
+    if (View::ConstantsClash(atom.args, head.head)) continue;
     if (atom.constraint.is_false()) continue;
     if (atom.constraint.is_true() && atom.args == request.args) {
       // The whole predicate instance space is already present.

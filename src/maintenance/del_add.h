@@ -38,6 +38,12 @@ struct DelElement {
 /// The overlap constraint is simplified but re-expressed over the original
 /// atom's head variables so it can be negated against the atom later.
 ///
+/// Cost: O(candidates), not O(atoms of the predicate). Candidates come
+/// from View::Probe on the constants of the request's simplified head; an
+/// atom whose constant argument differs from one of them has an overlap
+/// that simplifies to false and is skipped before anything is copied.
+/// Elements keep ascending atom order.
+///
 /// \p factory (when given) issues the renamings that standardize the
 /// request apart; callers that keep using their factory afterwards should
 /// pass it so all fresh variables of one maintenance run come from a
@@ -53,7 +59,9 @@ Result<std::vector<DelElement>> BuildDel(const View& view,
 /// A(X) <- psi ^ not(phi_1[X]) ^ ... ^ not(phi_m[X]).
 ///
 /// Returns zero atoms when the request is provably already covered, and
-/// at most one atom otherwise. \p ext_support tags the atom's support with
+/// at most one atom otherwise. Cost: O(candidates), probed as in BuildDel:
+/// a skipped atom's block would read not(false), which simplification
+/// drops. \p ext_support tags the atom's support with
 /// a unique negative clause number (external facts have no deriving clause);
 /// the counter is decremented per inserted atom.
 Result<std::vector<ViewAtom>> BuildAdd(const View& view,

@@ -1,6 +1,7 @@
 #include "parser/lexer.h"
 
 #include <cctype>
+#include <limits>
 
 #include "common/strings.h"
 
@@ -102,6 +103,20 @@ Result<std::vector<Token>> Lex(std::string_view src) {
                          : TokKind::kIdent);
       t.text = std::string(src.substr(start, i - start));
       col += static_cast<int>(i - start);
+      out.push_back(std::move(t));
+      continue;
+    }
+    if (ch == '-' && src.substr(i + 1, 3) == "inf" &&
+        (i + 4 >= src.size() ||
+         !(std::isalnum(static_cast<unsigned char>(src[i + 4])) ||
+           src[i + 4] == '_'))) {
+      // `-inf`: how operator<<(Value) prints negative infinity (`inf` and
+      // `nan` stay identifiers; the parser reads them as doubles).
+      Token t = make(TokKind::kFloat);
+      t.text = "-inf";
+      t.float_val = -std::numeric_limits<double>::infinity();
+      col += 4;
+      i += 4;
       out.push_back(std::move(t));
       continue;
     }

@@ -1,5 +1,6 @@
 #include "parser/parser.h"
 
+#include <limits>
 #include <unordered_map>
 
 #include "parser/lexer.h"
@@ -10,11 +11,12 @@ namespace parser {
 namespace {
 
 // Recursive-descent parser over a token stream. Variable names are scoped
-// per clause: the scope map resets between clauses.
+// per clause: the scope map resets between clauses. Source names go to
+// \p names when it is non-null.
 class ParserImpl {
  public:
-  ParserImpl(std::vector<Token> tokens, Program* program)
-      : tokens_(std::move(tokens)), program_(program) {}
+  ParserImpl(std::vector<Token> tokens, Program* program, VarNames* names)
+      : tokens_(std::move(tokens)), program_(program), names_(names) {}
 
   Result<Clause> ParseOneClause() {
     scope_.clear();
@@ -258,14 +260,14 @@ class ParserImpl {
         if (t.text == "_") {
           // Anonymous variable: always fresh.
           VarId id = program_->factory()->Fresh();
-          program_->names()->Set(id, "_");
+          if (names_ != nullptr) names_->Set(id, "_");
           return Term::Var(id);
         }
         auto it = scope_.find(t.text);
         if (it != scope_.end()) return Term::Var(it->second);
         VarId id = program_->factory()->Fresh();
         scope_[t.text] = id;
-        program_->names()->Set(id, t.text);
+        if (names_ != nullptr) names_->Set(id, t.text);
         return Term::Var(id);
       }
       case TokKind::kInt:
@@ -278,6 +280,14 @@ class ParserImpl {
         if (t.text == "true") return Term::Const(Value(true));
         if (t.text == "false") return Term::Const(Value(false));
         if (t.text == "null") return Term::Const(Value());
+        // The words operator<<(Value) prints for non-finite doubles (the
+        // lexer reads `-inf` as one float token).
+        if (t.text == "inf") {
+          return Term::Const(Value(std::numeric_limits<double>::infinity()));
+        }
+        if (t.text == "nan") {
+          return Term::Const(Value(std::numeric_limits<double>::quiet_NaN()));
+        }
         // Bare lowercase identifier: a string constant (Datalog style).
         return Term::Const(Value(t.text));
       default:
@@ -290,6 +300,7 @@ class ParserImpl {
   std::vector<Token> tokens_;
   size_t pos_ = 0;
   Program* program_;
+  VarNames* names_;
   std::unordered_map<std::string, VarId> scope_;
 };
 
@@ -298,21 +309,26 @@ class ParserImpl {
 Result<Program> ParseProgram(std::string_view text) {
   MMV_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(text));
   Program program;
-  ParserImpl impl(std::move(tokens), &program);
+  ParserImpl impl(std::move(tokens), &program, program.names());
   MMV_RETURN_NOT_OK(impl.ParseWholeProgram());
   return program;
 }
 
 Result<Clause> ParseClause(std::string_view text, Program* program) {
   MMV_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(text));
-  ParserImpl impl(std::move(tokens), program);
+  ParserImpl impl(std::move(tokens), program, program->names());
   return impl.ParseOneClause();
 }
 
 Result<ParsedAtom> ParseConstrainedAtom(std::string_view text,
                                         Program* program) {
+  return ParseConstrainedAtom(text, program, program->names());
+}
+
+Result<ParsedAtom> ParseConstrainedAtom(std::string_view text,
+                                        Program* program, VarNames* names) {
   MMV_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(text));
-  ParserImpl impl(std::move(tokens), program);
+  ParserImpl impl(std::move(tokens), program, names);
   return impl.ParseOneConstrainedAtom();
 }
 

@@ -11,14 +11,15 @@
 //   dcall     := ident ':' ident '(' [term (',' term)*] ')'
 //   atom      := ident '(' [term (',' term)*] ')'
 //   term      := VAR | INT | FLOAT | STRING | 'true' | 'false' | 'null'
-//              | ident
+//              | 'inf' | '-inf' | 'nan' | ident
 //   SEP       := '&' | ',' | '||'
 //   CMP       := '=' | '!=' | '<' | '<=' | '>' | '>='
 //
 // Other lowercase identifiers in term position denote string constants
 // (Datalog-style), so p(a, b) abbreviates p("a", "b"). Variables are scoped
 // per clause and numbered from the program's VarFactory; their source names
-// are recorded in the program's VarNames for pretty printing.
+// are recorded in the program's VarNames for pretty printing (update bursts
+// excepted: see ParseBurst).
 
 #ifndef MMV_PARSER_PARSER_H_
 #define MMV_PARSER_PARSER_H_
@@ -50,6 +51,12 @@ Result<Clause> ParseClause(std::string_view text, Program* program);
 /// `seenwith("corleone", Y) <- Y != "smith"`.
 Result<ParsedAtom> ParseConstrainedAtom(std::string_view text,
                                         Program* program);
+
+/// \brief As above, but variable names go to \p names (nullptr: nowhere)
+/// instead of the program's table, which would otherwise grow with every
+/// parsed input. Ids still come from \p program's factory.
+Result<ParsedAtom> ParseConstrainedAtom(std::string_view text,
+                                        Program* program, VarNames* names);
 
 }  // namespace parser
 }  // namespace mmv

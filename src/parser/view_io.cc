@@ -142,7 +142,8 @@ Result<std::vector<ParsedUpdate>> ParseBurst(std::string_view text,
                         "burst line must start with 'del ' or 'ins ': " +
                         std::string(line)));
     }
-    Result<ParsedAtom> atom = ParseConstrainedAtom(line.substr(4), program);
+    Result<ParsedAtom> atom =
+        ParseConstrainedAtom(line.substr(4), program, /*names=*/nullptr);
     if (!atom.ok()) return AtLine(line_no, atom.status());
     updates.push_back(ParsedUpdate{is_delete, std::move(*atom)});
   }

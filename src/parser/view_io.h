@@ -59,7 +59,9 @@ struct ParsedUpdate {
 };
 
 /// \brief Parses a burst-workload file (format above). Variable ids are
-/// drawn from \p program's factory, standardizing each update apart.
+/// drawn from \p program's factory, standardizing each update apart; their
+/// source names are not recorded (they print as X<id>), so a stream of
+/// bursts leaves the program's name table as it was.
 Result<std::vector<ParsedUpdate>> ParseBurst(std::string_view text,
                                              Program* program);
 

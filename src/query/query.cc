@@ -1,5 +1,6 @@
 #include "query/query.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 namespace mmv {
@@ -61,11 +62,16 @@ Result<InstanceSet> QueryPred(const View& view, Symbol pred,
                               const TermVec& pattern,
                               DcaEvaluator* evaluator,
                               const EnumerateOptions& options) {
+  // The probe skips only atoms whose restriction is false on constants
+  // alone (they contribute no instance and cannot mark the result
+  // incomplete), and yields the rest in the scan's ascending order, so the
+  // max_instances cap cuts at the same atom a scan would.
   Solver solver(evaluator, options.solver);
   InstanceSet out;
-  for (size_t i : view.AtomsFor(pred)) {
+  View::Candidates candidates = view.Probe(pred, pattern);
+  for (size_t i; candidates.Next(&i);) {
     const ViewAtom& atom = view.atoms()[i];
-    if (atom.args.size() != pattern.size()) continue;
+    if (View::ConstantsClash(atom.args, pattern)) continue;
     MMV_ASSIGN_OR_RETURN(
         bool keep_going,
         AccumulateMatch(atom, pattern, &solver, options, &out));
@@ -101,8 +107,11 @@ Result<bool> Ask(const View& view, Symbol pred,
   TermVec pattern;
   pattern.reserve(values.size());
   for (const Value& v : values) pattern.push_back(Term::Const(v));
+  // A cap of one instance stops the probe at the first atom that has one.
+  EnumerateOptions first = options;
+  first.max_instances = std::min<size_t>(options.max_instances, 1);
   MMV_ASSIGN_OR_RETURN(InstanceSet result,
-                       QueryPred(view, pred, pattern, evaluator, options));
+                       QueryPred(view, pred, pattern, evaluator, first));
   return !result.instances.empty();
 }
 

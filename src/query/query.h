@@ -14,6 +14,14 @@ namespace query {
 /// wildcards (a repeated pattern variable forces equal values). Evaluation
 /// uses the evaluator's current time — so a W_P view answers with
 /// up-to-date external data with no maintenance having run (Corollary 1).
+///
+/// Cost: O(candidates), not O(atoms of pred). The read probes the view's
+/// argument index (View::Probe) with the pattern's constants, skips atoms
+/// whose constant arguments differ from them before copying anything, and
+/// enumerates the rest in ascending atom order — so instances, the
+/// max_instances cut and the complete / approximate flags are those of a
+/// scan over every atom of \p pred. A pattern with no constant visits
+/// every atom of \p pred.
 Result<InstanceSet> QueryPred(const View& view, Symbol pred,
                               const TermVec& pattern,
                               DcaEvaluator* evaluator,
@@ -28,6 +36,10 @@ Result<InstanceSet> QueryPred(const SnapshotHandle& snapshot, Symbol pred,
                               const EnumerateOptions& options = {});
 
 /// \brief True iff pred(values) is an instance of the view.
+///
+/// Probes like QueryPred and stops at the first atom with an instance, so
+/// an evaluation error that only a later candidate would raise is not
+/// reported.
 Result<bool> Ask(const View& view, Symbol pred,
                  const std::vector<Value>& values, DcaEvaluator* evaluator,
                  const EnumerateOptions& options = {});

@@ -12,6 +12,7 @@
 #include "durability/durable_log.h"
 #include "durability/fs.h"
 #include "maintenance/batch.h"
+#include "plan/plan_cache.h"
 #include "test_util.h"
 #include "workload/generators.h"
 
@@ -364,7 +365,11 @@ TEST(BatchTest, SequentialReportsEveryPassCounter) {
         Ins("p0(X) <- X = " + std::to_string(width + i) + ".", &p));
   }
   const View base = MaterializeOrDie(p, w.domains.get());
-  const FixpointOptions opts;
+  // Each side gets a plan cache that outlives its passes: an engine run
+  // fetches every rule's plan once, so plans are reused across passes.
+  plan::PlanCache seq_plans, hand_plans;
+  FixpointOptions opts;
+  opts.plan_cache = &seq_plans;
 
   View seq_view = base;
   int seq_ext = 0;
@@ -374,6 +379,7 @@ TEST(BatchTest, SequentialReportsEveryPassCounter) {
                                             &seq_ext)
                   .ok());
 
+  opts.plan_cache = &hand_plans;
   View by_hand = base;
   int ext = 0;
   FixpointStats passes;  // the shared pass list, summed over the passes

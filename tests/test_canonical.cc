@@ -126,7 +126,7 @@ TEST(CanonicalTest, NestedBlockOrderInvariance) {
 
 // Constants that any text rendering risks merging: ints and doubles of one
 // number, signed zeros, doubles alike at 6 significant digits, subnormals,
-// the int64 bounds, strings made of the encoding's own separators and
+// the non-finite doubles, the int64 bounds, strings made of the encoding's own separators and
 // digits, and nested lists.
 std::vector<Value> TrickyValues() {
   return {
@@ -148,6 +148,9 @@ std::vector<Value> TrickyValues() {
       Value(-5e-324),
       Value(2.2250738585072009e-308),
       Value(std::numeric_limits<double>::max()),
+      Value(std::numeric_limits<double>::infinity()),
+      Value(-std::numeric_limits<double>::infinity()),
+      Value(std::numeric_limits<double>::quiet_NaN()),
       Value(std::numeric_limits<int64_t>::min()),
       Value(std::numeric_limits<int64_t>::max()),
       Value(static_cast<double>(std::numeric_limits<int64_t>::max())),

@@ -5,13 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "constraint/canonical.h"
 #include "core/fixpoint.h"
 #include "domain/registry.h"
 #include "maintenance/batch.h"
+#include "maintenance/del_add.h"
 #include "maintenance/recompute.h"
 #include "maintenance/rewrite.h"
 #include "parser/parser.h"
@@ -124,6 +128,123 @@ inline std::set<std::string> InstancesOf(const View& view,
     if (s.rfind(pred + "(", 0) == 0) out.insert(s);
   }
   return out;
+}
+
+// ---- scan oracles for the View probe -------------------------------------
+//
+// The reads that View::Probe replaced, kept verbatim as references: each
+// walks EVERY atom of the predicate (View::AtomsFor) and lets the
+// constraint machinery reject what the probe skips on constants.
+
+/// \brief QueryPred(const View&, ...) as a full predicate scan.
+inline Result<query::InstanceSet> ScanQueryPred(
+    const View& view, Symbol pred, const TermVec& pattern,
+    DcaEvaluator* evaluator, const query::EnumerateOptions& options = {}) {
+  Solver solver(evaluator, options.solver);
+  query::InstanceSet out;
+  for (size_t i : view.AtomsFor(pred)) {
+    const ViewAtom& atom = view.atoms()[i];
+    if (atom.args.size() != pattern.size()) continue;
+    // Restrict a copy: Eq for constant positions, position equality for
+    // repeated pattern variables.
+    ViewAtom restricted = atom;
+    std::unordered_map<VarId, size_t> first_pos;
+    for (size_t k = 0; k < pattern.size(); ++k) {
+      const Term& p = pattern[k];
+      if (p.is_const()) {
+        restricted.constraint.Add(
+            Primitive::Eq(atom.args[k], Term::Const(p.constant())));
+      } else if (auto it = first_pos.find(p.var()); it == first_pos.end()) {
+        first_pos[p.var()] = k;
+      } else {
+        restricted.constraint.Add(
+            Primitive::Eq(atom.args[k], atom.args[it->second]));
+      }
+    }
+    query::EnumerateOptions atom_options = options;
+    atom_options.max_instances = options.max_instances - out.instances.size();
+    MMV_ASSIGN_OR_RETURN(
+        query::InstanceSet one,
+        query::EnumerateAtomWith(restricted, &solver, atom_options));
+    out.instances.insert(one.instances.begin(), one.instances.end());
+    out.complete = out.complete && one.complete;
+    out.approximate = out.approximate || one.approximate;
+    if (out.instances.size() >= options.max_instances) {
+      out.complete = false;
+      break;
+    }
+  }
+  return out;
+}
+
+/// \brief maint::BuildDel as a full predicate scan.
+inline Result<std::vector<maint::DelElement>> ScanBuildDel(
+    const View& view, const maint::UpdateAtom& request, Solver* solver) {
+  std::vector<maint::DelElement> del;
+  VarFactory factory;
+  factory.ReserveAbove(view.MaxVarId());
+  std::vector<VarId> req_vars;
+  CollectVars(request.args, &req_vars);
+  for (VarId v : request.constraint.Variables()) {
+    if (std::find(req_vars.begin(), req_vars.end(), v) == req_vars.end()) {
+      req_vars.push_back(v);
+    }
+  }
+  for (VarId v : req_vars) factory.ReserveAbove(v);
+  for (size_t i : view.AtomsFor(request.pred)) {
+    const ViewAtom& atom = view.atoms()[i];
+    if (atom.args.size() != request.args.size()) continue;
+    Substitution renaming = FreshRenaming(req_vars, &factory);
+    TermVec req_args = renaming.Apply(request.args);
+    Constraint overlap = atom.constraint;
+    overlap.AndWith(renaming.Apply(request.constraint));
+    for (size_t k = 0; k < req_args.size(); ++k) {
+      overlap.Add(Primitive::Eq(atom.args[k], req_args[k]));
+    }
+    Constraint deleted_part =
+        maint::RebindHead(atom.args, SimplifyAtom(atom.args, overlap));
+    if (deleted_part.is_false()) continue;
+    SolveOutcome o = solver->Solve(deleted_part);
+    if (o == SolveOutcome::kError) return solver->last_status();
+    if (!IsSolvable(o)) continue;
+    del.push_back(maint::DelElement{i, std::move(deleted_part)});
+  }
+  return del;
+}
+
+/// \brief maint::BuildAdd as a full predicate scan.
+inline Result<std::vector<ViewAtom>> ScanBuildAdd(
+    const View& view, const maint::UpdateAtom& request, Solver* solver,
+    int* ext_support) {
+  VarFactory factory;
+  factory.ReserveAbove(view.MaxVarId());
+  std::vector<VarId> req_vars;
+  CollectVars(request.args, &req_vars);
+  for (VarId v : request.constraint.Variables()) factory.ReserveAbove(v);
+  for (VarId v : req_vars) factory.ReserveAbove(v);
+  Constraint add_constraint = request.constraint;
+  for (size_t i : view.AtomsFor(request.pred)) {
+    const ViewAtom& atom = view.atoms()[i];
+    if (atom.args.size() != request.args.size()) continue;
+    if (atom.constraint.is_false()) continue;
+    if (atom.constraint.is_true() && atom.args == request.args) {
+      return std::vector<ViewAtom>{};
+    }
+    add_constraint.AddNot(maint::NegatedInstanceBlock(
+        request.args, atom.args, atom.constraint, &factory));
+    if (add_constraint.is_false()) return std::vector<ViewAtom>{};
+  }
+  SimplifiedAtom s = SimplifyAtom(request.args, add_constraint);
+  if (s.constraint.is_false()) return std::vector<ViewAtom>{};
+  SolveOutcome o = solver->Solve(s.constraint);
+  if (o == SolveOutcome::kError) return solver->last_status();
+  if (!IsSolvable(o)) return std::vector<ViewAtom>{};
+  ViewAtom atom;
+  atom.pred = request.pred;
+  atom.args = s.head;
+  atom.constraint = std::move(s.constraint);
+  atom.support = Support(--(*ext_support));
+  return std::vector<ViewAtom>{std::move(atom)};
 }
 
 }  // namespace testutil

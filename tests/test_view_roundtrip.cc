@@ -286,5 +286,24 @@ TEST(BurstRoundTrip, RandomBurstsSurviveSerializeParse) {
   }
 }
 
+TEST(BurstRoundTrip, BurstsLeaveTheNameTableAlone) {
+  Program p = ParseOrDie("path(X, Y) <- e(X, Y).");
+  const size_t names = p.names()->size();
+  ASSERT_GT(names, 0u);  // programs do record their variable names
+  for (int i = 0; i < 1000; ++i) {
+    std::vector<parser::ParsedUpdate> burst = Unwrap(parser::ParseBurst(
+        "del e(Src, Dst) <- Src = " + std::to_string(i) + " & Dst = 2.\n"
+        "ins e(Src, _) <- Src = 3.\n",
+        &p));
+    ASSERT_EQ(burst.size(), 2u);
+  }
+  EXPECT_EQ(p.names()->size(), names);
+  std::vector<parser::ParsedUpdate> burst =
+      Unwrap(parser::ParseBurst("ins e(Src, Dst) <- Src = 3.\n", &p));
+  ASSERT_TRUE(burst[0].atom.args[0].is_var());
+  VarId id = burst[0].atom.args[0].var();
+  EXPECT_EQ(p.names()->NameOf(id), "X" + std::to_string(id));
+}
+
 }  // namespace
 }  // namespace mmv
